@@ -13,9 +13,11 @@ the fixed projection order. Save/load round-trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,7 +229,27 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         w = np.ascontiguousarray(ckpt.weights[name], dtype="<f8")
         parts.append(struct.pack("<Q", w.size))
         parts.append(w.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write `data` to `path` through a temp file in the same directory and
+    an atomic rename: a reader sees the old file or the complete new one,
+    and a write that fails midway leaves no partial file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        # os.open applies the umask, so the file gets the usual permissions
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:
@@ -302,7 +324,7 @@ def apply_checkpoint(net: NetworkTopology, ckpt: Checkpoint,
             raise DataFormatError(
                 f"{name}: checkpoint has {w.size} weights, network has "
                 f"{pop.n_connections}")
-        pop.weight[:] = w
+        pop.weight = w
     return net
 
 

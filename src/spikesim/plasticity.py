@@ -23,12 +23,17 @@ negative for inhibitory ones.
 Weight sign discipline: excitatory weights live in [W_min, W_max], inhibitory
 in [-W_max, -W_min] (parameters store magnitudes; the projection's sign picks
 the direction, and "potentiation" always grows |w|).
+
+Every projection stores its weights as one dense (n_pre, n_post) matrix, so
+a pre event updates a row, a post event a column, and the supervised rule
+adds one matrix product; non-connections are held at exactly 0.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,35 +95,39 @@ def inhibitory_resume() -> ResumeParams:
     return ResumeParams(A=-0.001, tau=10.0, W_max=1200.0)
 
 
-@dataclass
 class SynapsePopulation:
-    """One projection: parallel connection arrays plus plasticity state.
+    """One projection: a dense weight matrix plus plasticity state.
 
-    pre_index / post_index are population-local ids; weight is signed pA.
+    `W` is the (n_pre, n_post) matrix of signed weights (pA), exactly 0 where
+    the projection has no connection. pre_index / post_index list the
+    connections (population-local ids, each pair at most once) and fix their
+    order; `weight` reads the per-connection weights in that order as a
+    read-only array, and assigning `pop.weight = values` (an array in that
+    order, or one scalar for all) validates and writes them into `W`. This
+    per-connection order is the checkpoint layout.
+
     `plasticity` is None for a static projection, StdpParams or ResumeParams
     otherwise. Traces exist only in stdp mode. `delay` is in simulation steps.
     """
 
-    name: str
-    pre_index: np.ndarray
-    post_index: np.ndarray
-    weight: np.ndarray
-    sign: str
-    n_pre: int
-    n_post: int
-    plasticity: StdpParams | ResumeParams | None = None
-    delay: int = 1
-    pre_trace: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    post_trace: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.sign not in SIGNS:
-            raise ValueError(f"unknown synapse sign {self.sign!r}")
-        self.pre_index = np.asarray(self.pre_index, dtype=np.int64)
-        self.post_index = np.asarray(self.post_index, dtype=np.int64)
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        if not (self.pre_index.shape == self.post_index.shape == self.weight.shape):
-            raise ValueError("connection arrays must have identical shapes")
+    def __init__(self, name: str, pre_index, post_index, weight, sign: str,
+                 n_pre: int, n_post: int,
+                 plasticity: StdpParams | ResumeParams | None = None,
+                 delay: int = 1, pre_trace: np.ndarray | None = None,
+                 post_trace: np.ndarray | None = None) -> None:
+        if sign not in SIGNS:
+            raise ValueError(f"unknown synapse sign {sign!r}")
+        self.name = name
+        self.sign = sign
+        self.n_pre = int(n_pre)
+        self.n_post = int(n_post)
+        self.plasticity = plasticity
+        self.delay = delay
+        self.pre_index = np.asarray(pre_index, dtype=np.int64)
+        self.post_index = np.asarray(post_index, dtype=np.int64)
+        if not (self.pre_index.ndim == 1
+                and self.pre_index.shape == self.post_index.shape == np.shape(weight)):
+            raise ValueError("connection arrays must have identical 1-D shapes")
         if self.pre_index.size:
             if self.pre_index.min() < 0 or self.pre_index.max() >= self.n_pre:
                 raise ValueError("pre_index out of range")
@@ -126,19 +135,45 @@ class SynapsePopulation:
                 raise ValueError("post_index out of range")
         if self.delay < 1:
             raise ValueError("delay must be at least one step")
-        self._check_weights()
-        if self.pre_trace is None:
-            self.pre_trace = np.zeros(self.n_pre, dtype=np.float64)
-        if self.post_trace is None:
-            self.post_trace = np.zeros(self.n_post, dtype=np.float64)
-        self._by_pre = None
-        self._by_post = None
+        connected = np.zeros((self.n_pre, self.n_post), dtype=bool)
+        connected[self.pre_index, self.post_index] = True
+        if np.count_nonzero(connected) != self.pre_index.size:
+            raise ValueError(f"{name}: duplicate connection")
+        # non-connections, re-zeroed after every update; None when all-to-all
+        self._off = None if connected.all() else ~connected
+        self.W = np.zeros((self.n_pre, self.n_post), dtype=np.float64)
+        self.weight = weight
+        self.pre_trace = (np.zeros(self.n_pre, dtype=np.float64)
+                          if pre_trace is None else pre_trace)
+        self.post_trace = (np.zeros(self.n_post, dtype=np.float64)
+                           if post_trace is None else post_trace)
 
-    # -- structure ------------------------------------------------------
+    def __repr__(self) -> str:
+        return (f"SynapsePopulation(name={self.name!r}, sign={self.sign!r}, "
+                f"n_pre={self.n_pre}, n_post={self.n_post}, "
+                f"n_connections={self.n_connections}, mode={self.mode!r})")
+
+    # -- weights --------------------------------------------------------
+
+    @property
+    def weight(self) -> np.ndarray:
+        """Per-connection weights in connection order (a read-only copy)."""
+        w = self.W[self.pre_index, self.post_index]
+        w.flags.writeable = False
+        return w
+
+    @weight.setter
+    def weight(self, values) -> None:
+        w = np.asarray(values, dtype=np.float64)
+        if w.ndim and w.shape != self.pre_index.shape:
+            raise ValueError(f"{self.name}: expected {self.pre_index.size} weights, "
+                             f"got shape {w.shape}")
+        self._check_weights(w)
+        self.W[self.pre_index, self.post_index] = w
 
     @property
     def n_connections(self) -> int:
-        return int(self.weight.size)
+        return int(self.pre_index.size)
 
     @property
     def mode(self) -> str:
@@ -146,8 +181,7 @@ class SynapsePopulation:
             return "static"
         return "stdp" if isinstance(self.plasticity, StdpParams) else "resume"
 
-    def _check_weights(self) -> None:
-        w = self.weight
+    def _check_weights(self, w: np.ndarray) -> None:
         if not np.all(np.isfinite(w)):
             raise ValueError(f"{self.name}: non-finite weight")
         if self.sign == "excitatory":
@@ -164,37 +198,73 @@ class SynapsePopulation:
             return (w_min, w_max)
         return (-w_max, -w_min)
 
+    def _settle(self, block: np.ndarray, off: np.ndarray | None) -> None:
+        """Clip an updated block of W to the band, then re-zero its
+        non-connections (clipping may have moved them off 0)."""
+        lo, hi = self._bounds()
+        np.clip(block, lo, hi, out=block)
+        if off is not None:
+            np.copyto(block, 0.0, where=off)
+
+    def _add_to_rows(self, ids: np.ndarray, delta: np.ndarray) -> None:
+        """W[i, :] += delta for each (distinct) pre id i, then clip and mask."""
+        if ids.size == self.n_pre:
+            self.W += delta
+            self._settle(self.W, self._off)
+            return
+        block = self.W[ids]
+        block += delta
+        self._settle(block, None if self._off is None else self._off[ids])
+        self.W[ids] = block
+
+    def _add_to_cols(self, ids: np.ndarray, delta: np.ndarray) -> None:
+        """W[:, j] += delta for each (distinct) post id j, then clip and mask."""
+        if ids.size == self.n_post:
+            self.W += delta[:, None]
+            self._settle(self.W, self._off)
+            return
+        block = self.W[:, ids]
+        block += delta[:, None]
+        self._settle(block, None if self._off is None else self._off[:, ids])
+        self.W[:, ids] = block
+
+    def summed_input(self, pre_ids: np.ndarray) -> np.ndarray:
+        """Total weight onto each post neuron from the given spiking pre
+        neurons: their rows of W summed one after another in the order given
+        (ascending ids in the engine), the same sums as adding the weights
+        connection by connection."""
+        rows = self.W[pre_ids]
+        if self.n_post > 1 or rows.shape[0] < 2:
+            return rows.sum(axis=0)
+        # numpy sums a lone column pairwise; accumulate keeps the order
+        return np.add.accumulate(rows, axis=0)[-1]
+
+    # -- per-connection views (not used by the engine) ---------------------
+
     def connections_by_pre(self, pre_ids: np.ndarray) -> np.ndarray:
-        """Indices into the connection arrays for the given pre neurons."""
-        if self._by_pre is None:
-            order = np.argsort(self.pre_index, kind="stable")
-            starts = np.searchsorted(self.pre_index[order], np.arange(self.n_pre + 1))
-            self._by_pre = (order, starts)
-        order, starts = self._by_pre
-        pre_ids = np.atleast_1d(pre_ids)
-        if pre_ids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([order[starts[i]:starts[i + 1]] for i in pre_ids])
+        """Indices into the connection arrays for the given pre neurons,
+        grouped by id in the order given, connection order within a group."""
+        return _grouped(self.pre_index, self.n_pre, pre_ids)
 
     def connections_by_post(self, post_ids: np.ndarray) -> np.ndarray:
-        if self._by_post is None:
-            order = np.argsort(self.post_index, kind="stable")
-            starts = np.searchsorted(self.post_index[order], np.arange(self.n_post + 1))
-            self._by_post = (order, starts)
-        order, starts = self._by_post
-        post_ids = np.atleast_1d(post_ids)
-        if post_ids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([order[starts[i]:starts[i + 1]] for i in post_ids])
+        """Indices into the connection arrays for the given post neurons."""
+        return _grouped(self.post_index, self.n_post, post_ids)
 
     def copy(self) -> "SynapsePopulation":
-        return SynapsePopulation(
-            name=self.name, pre_index=self.pre_index.copy(),
-            post_index=self.post_index.copy(), weight=self.weight.copy(),
-            sign=self.sign, n_pre=self.n_pre, n_post=self.n_post,
-            plasticity=self.plasticity, delay=self.delay,
-            pre_trace=self.pre_trace.copy(), post_trace=self.post_trace.copy(),
-        )
+        new = copy.copy(self)
+        for attr in ("pre_index", "post_index", "W", "pre_trace", "post_trace"):
+            setattr(new, attr, getattr(self, attr).copy())
+        return new
+
+
+def _grouped(index: np.ndarray, n: int, ids) -> np.ndarray:
+    """Positions in `index` equal to each of `ids`, concatenated per id."""
+    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+    order = np.argsort(index, kind="stable")
+    starts = np.searchsorted(index[order], np.arange(n + 1))
+    lo, lens = starts[ids], starts[ids + 1] - starts[ids]
+    out_start = np.cumsum(lens) - lens      # where each id's group begins in the output
+    return order[np.arange(lens.sum()) + np.repeat(lo - out_start, lens)]
 
 
 # -- STDP -----------------------------------------------------------------
@@ -220,43 +290,33 @@ def decay_traces(pop: SynapsePopulation, dt: float) -> SynapsePopulation:
 def stdp_on_pre(pop: SynapsePopulation, pre_neuron, t: float) -> SynapsePopulation:
     """Apply the pre-spike event: depress from the post trace, bump pre trace.
 
-    `pre_neuron` may be an int or an array of distinct ids spiking this step.
-    Traces must already be decayed to time t.
+    `pre_neuron` may be an int or an array of distinct ids spiking this step;
+    each one's row of W moves by the same post-trace vector. Traces must
+    already be decayed to time t.
     """
     p = _require_stdp(pop)
     ids = np.atleast_1d(np.asarray(pre_neuron, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= pop.n_pre):
         raise IndexError(f"{pop.name}: pre id out of range")
-    conns = pop.connections_by_pre(ids)
-    if conns.size:
-        step = p.A_minus * p.W_max * pop.post_trace[pop.post_index[conns]]
-        w = pop.weight[conns]
-        if pop.sign == "excitatory":
-            w -= step
-        else:
-            w += step   # depression shrinks |w|
-        lo, hi = pop._bounds()
-        pop.weight[conns] = np.clip(w, lo, hi)
+    if ids.size:
+        step = p.A_minus * p.W_max * pop.post_trace
+        # depression shrinks |w|
+        pop._add_to_rows(ids, -step if pop.sign == "excitatory" else step)
     pop.pre_trace[ids] += 1.0
     return pop
 
 
 def stdp_on_post(pop: SynapsePopulation, post_neuron, t: float) -> SynapsePopulation:
-    """Apply the post-spike event: potentiate from the pre trace, bump post trace."""
+    """Apply the post-spike event: potentiate from the pre trace, bump post
+    trace. Each spiking post neuron's column of W moves by the pre trace."""
     p = _require_stdp(pop)
     ids = np.atleast_1d(np.asarray(post_neuron, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= pop.n_post):
         raise IndexError(f"{pop.name}: post id out of range")
-    conns = pop.connections_by_post(ids)
-    if conns.size:
-        step = p.A_plus * p.W_max * pop.pre_trace[pop.pre_index[conns]]
-        w = pop.weight[conns]
-        if pop.sign == "excitatory":
-            w += step
-        else:
-            w -= step   # potentiation grows |w|
-        lo, hi = pop._bounds()
-        pop.weight[conns] = np.clip(w, lo, hi)
+    if ids.size:
+        step = p.A_plus * p.W_max * pop.pre_trace
+        # potentiation grows |w|
+        pop._add_to_cols(ids, step if pop.sign == "excitatory" else -step)
     pop.post_trace[ids] += 1.0
     return pop
 
@@ -271,19 +331,40 @@ def resume_window(s, params: ResumeParams) -> np.ndarray | float:
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-def _causal_kernel_sums(pre_times: list[np.ndarray], event_times: np.ndarray,
-                        params: ResumeParams) -> np.ndarray:
-    """For each pre neuron: sum of W(t_event - t_pre) over all causal pairs."""
-    out = np.zeros(len(pre_times), dtype=np.float64)
-    if event_times.size == 0:
-        return out
-    for i, tp in enumerate(pre_times):
-        if tp.size == 0:
-            continue
-        d = event_times[None, :] - tp[:, None]
-        k = np.where(d > 0.0, params.A * np.exp(-d / params.tau), 0.0)
-        out[i] = k.sum()
-    return out
+def _flat_spikes(rec: SpikeRecord, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """All spikes of a record as (times, neuron ids), grouped by neuron;
+    checks that every train is sorted and inside [0, window)."""
+    sizes = np.fromiter((t.size for t in rec.times), dtype=np.int64, count=rec.n_neurons)
+    times = np.concatenate(rec.times) if sizes.sum() else np.empty(0)
+    ids = np.repeat(np.arange(rec.n_neurons), sizes)
+    if times.size and (times.min() < 0.0 or times.max() >= window):
+        raise ValueError(f"spike time outside [0, {window})")
+    same = ids[1:] == ids[:-1]
+    if not np.all(np.diff(times)[same] > 0.0):
+        raise ValueError("unsorted spike record")
+    return times, ids
+
+
+def _event_counts(times: np.ndarray, ids: np.ndarray, T: np.ndarray, n: int) -> np.ndarray:
+    """(len(T), n) spike counts: row k counts the spikes at time T[k]."""
+    flat = np.searchsorted(T, times) * n + ids
+    return np.bincount(flat, minlength=T.size * n).reshape(T.size, n)
+
+
+def _causal_traces(times: np.ndarray, ids: np.ndarray, n: int, T: np.ndarray,
+                   tau: float) -> np.ndarray:
+    """Tr[k, i] = sum of exp(-(T[k] - t) / tau) over the spikes t < T[k] of
+    neuron i, for sorted distinct T: strictly causal exponential traces."""
+    K = T.size
+    k = np.searchsorted(T, times, side="right")     # first event after each spike
+    live = k < K
+    tr = np.zeros((K, n), dtype=np.float64)
+    np.add.at(tr.reshape(-1), k[live] * n + ids[live],
+              np.exp(-(T[k[live]] - times[live]) / tau))
+    decay = np.exp(-np.diff(T) / tau)
+    for j in range(1, K):
+        tr[j] += decay[j - 1] * tr[j - 1]
+    return tr
 
 
 def resume_update(pop: SynapsePopulation, teacher_spikes: SpikeRecord,
@@ -292,7 +373,12 @@ def resume_update(pop: SynapsePopulation, teacher_spikes: SpikeRecord,
     """Batch weight update for one presentation window.
 
     teacher_spikes / actual_spikes index the post population, pre_spikes the
-    pre population. Identical teacher and actual trains cancel exactly.
+    pre population. With T the distinct post spike times (teacher or actual),
+    Tr[k, i] the causal trace of pre neuron i at T[k] and Y[k, j] the teacher
+    minus the actual spikes of post neuron j at T[k], the kernel sums of all
+    causal pairs are S = A * Tr^T Y, exact for times off the dt grid.
+    Identical teacher and actual trains give a zero column of Y and cancel
+    exactly.
     """
     if pop.mode != "resume":
         raise ValueError(f"{pop.name}: operation requires resume mode, pop is {pop.mode}")
@@ -301,28 +387,16 @@ def resume_update(pop: SynapsePopulation, teacher_spikes: SpikeRecord,
         raise ValueError(f"{pop.name}: post spike records must cover {pop.n_post} neurons")
     if pre_spikes.n_neurons != pop.n_pre:
         raise ValueError(f"{pop.name}: pre spike record must cover {pop.n_pre} neurons")
-    for rec in (teacher_spikes, actual_spikes, pre_spikes):
-        for i, t in enumerate(rec.times):
-            if t.size and (t[0] < 0.0 or t[-1] >= window):
-                raise ValueError(f"spike time outside [0, {window})")
-            if t.size > 1 and not np.all(np.diff(t) > 0.0):
-                raise ValueError("unsorted spike record")
+    t_teach, j_teach = _flat_spikes(teacher_spikes, window)
+    t_act, j_act = _flat_spikes(actual_spikes, window)
+    t_pre, i_pre = _flat_spikes(pre_spikes, window)
 
-    # S[i, j] = causal kernel sum of pre neuron i against post neuron j's events
-    n_pre, n_post = pop.n_pre, pop.n_post
-    S = np.zeros((n_pre, n_post), dtype=np.float64)
-    for j in range(n_post):
-        td, to = teacher_spikes.times[j], actual_spikes.times[j]
-        if td.size == to.size and np.array_equal(td, to):
-            continue    # identical trains cancel exactly; skip the arithmetic
-        if td.size:
-            S[:, j] += _causal_kernel_sums(pre_spikes.times, td, p)
-        if to.size:
-            S[:, j] -= _causal_kernel_sums(pre_spikes.times, to, p)
-
-    pop.weight += p.W_max * S[pop.pre_index, pop.post_index]
-    lo, hi = pop._bounds()
-    np.clip(pop.weight, lo, hi, out=pop.weight)
+    T = np.unique(np.concatenate([t_teach, t_act]))
+    Y = (_event_counts(t_teach, j_teach, T, pop.n_post)
+         - _event_counts(t_act, j_act, T, pop.n_post)).astype(np.float64)
+    Tr = _causal_traces(t_pre, i_pre, pop.n_pre, T, p.tau)
+    pop.W += p.W_max * p.A * (Tr.T @ Y)
+    pop._settle(pop.W, pop._off)
     return pop
 
 

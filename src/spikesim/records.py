@@ -22,12 +22,26 @@ class SpikeRecord:
         for i, t in enumerate(self.times):
             if t.ndim != 1:
                 raise ValueError(f"neuron {i}: spike times must be 1-D")
-            if t.size and not np.all(np.isfinite(t)):
-                raise ValueError(f"neuron {i}: non-finite spike time")
-            if t.size and (t[0] < 0.0 or t[-1] >= self.window):
-                raise ValueError(f"neuron {i}: spike time outside [0, {window})")
-            if t.size > 1 and not np.all(np.diff(t) > 0.0):
-                raise ValueError(f"neuron {i}: spike times not strictly increasing")
+        sizes = np.fromiter(map(len, self.times), dtype=np.int64, count=len(self.times))
+        if not sizes.any():
+            return
+        # the checks run on all trains at once: bad[c, i] flags check c on neuron i
+        flat = np.concatenate(self.times)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        last = np.cumsum(sizes) - 1
+        spiking = sizes > 0
+        bad = np.zeros((3, sizes.size), dtype=bool)
+        bad[0, owner[~np.isfinite(flat)]] = True
+        bad[1, spiking] = ((flat[last[spiking] - sizes[spiking] + 1] < 0.0)
+                           | (flat[last[spiking]] >= self.window))
+        later = owner[1:] == owner[:-1]
+        bad[2, owner[1:][later & ~(np.diff(flat) > 0.0)]] = True
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise ValueError(f"neuron {i}: " + (
+                "non-finite spike time",
+                f"spike time outside [0, {window})",
+                "spike times not strictly increasing")[int(np.argmax(bad[:, i]))])
 
     @classmethod
     def empty(cls, n_neurons: int, window: float) -> "SpikeRecord":
@@ -41,12 +55,17 @@ class SpikeRecord:
         `events` holds (step_index, spiking_neuron_ids) pairs in step order;
         spike times are step_index * dt.
         """
-        per_neuron: list[list[float]] = [[] for _ in range(n_neurons)]
-        for step, ids in events:
-            t = step * dt
-            for i in ids:
-                per_neuron[int(i)].append(t)
-        return cls([np.asarray(ts, dtype=np.float64) for ts in per_neuron], window)
+        id_arrays = [np.asarray(ids, dtype=np.int64).ravel() for _, ids in events]
+        ids = np.concatenate(id_arrays) if id_arrays else np.empty(0, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= n_neurons):
+            raise IndexError(f"spiking neuron id outside [0, {n_neurons})")
+        steps = np.repeat(np.array([step for step, _ in events], dtype=np.int64),
+                          [a.size for a in id_arrays])
+        # a stable sort by neuron keeps each neuron's spikes in step order
+        order = np.argsort(ids, kind="stable")
+        times = steps[order] * dt
+        ends = np.cumsum(np.bincount(ids, minlength=n_neurons)).tolist()
+        return cls([times[a:b] for a, b in zip([0] + ends, ends)], window)
 
     @property
     def n_neurons(self) -> int:

@@ -26,7 +26,7 @@ inject no current.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,13 @@ from .plasticity import SynapsePopulation
 
 PROJECTION_ORDER = ("input_feat", "feat_inhib", "inhib_feat",
                     "feat_readout", "readout_lateral")
+
+# projection -> (pre layer, post layer)
+PROJECTION_LAYERS = {"input_feat": ("input", "feature"),
+                     "feat_inhib": ("feature", "inhib"),
+                     "inhib_feat": ("inhib", "feature"),
+                     "feat_readout": ("feature", "readout"),
+                     "readout_lateral": ("readout", "readout")}
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,12 @@ class NetworkTopology:
     projections: dict[str, SynapsePopulation]
     class_of: np.ndarray            # readout-local index -> class id
     teachers_attached: bool = False
+    # PROJECTION_LAYERS resolved to this network's Layer objects, once
+    wiring: dict[str, tuple[Layer, Layer]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.wiring = {name: (self.layer_of(pre), self.layer_of(post))
+                       for name, (pre, post) in PROJECTION_LAYERS.items()}
 
     @property
     def n_neurons(self) -> int:

@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import Dataset, ImageSample, checkpoint_from_network, save_checkpoint
+from .dataio import (Dataset, ImageSample, checkpoint_from_network, save_checkpoint,
+                     write_atomic)
 from .encoding import EncodingConfig, encode_image
 from .neuron import new_state, step_neuron, deliver_spike
 from .plasticity import (SynapsePopulation, decay_traces, excitatory_resume,
@@ -162,17 +163,7 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     state = new_state(n, params)
     _clear_traces(net)
 
-    # static per-presentation wiring info, in fixed projection order
-    proj_info = []
-    for pop in net.ordered_projections():
-        pre_layer = {"input_feat": net.input_layer, "feat_inhib": net.feature_layer,
-                     "inhib_feat": net.inhib_layer, "feat_readout": net.feature_layer,
-                     "readout_lateral": net.readout_layer}[pop.name]
-        post_layer = {"input_feat": net.feature_layer, "feat_inhib": net.inhib_layer,
-                      "inhib_feat": net.feature_layer, "feat_readout": net.readout_layer,
-                      "readout_lateral": net.readout_layer}[pop.name]
-        post_global = pop.post_index + post_layer.start
-        proj_info.append((pop, pre_layer, post_layer, post_global))
+    proj_info = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
 
     pend_ex = np.zeros(n, dtype=np.float64)
     pend_in = np.zeros(n, dtype=np.float64)
@@ -196,7 +187,7 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
         t = k * dt
         events.append((k, np.flatnonzero(spiked)))
 
-        for pop, pre_layer, post_layer, post_global in proj_info:
+        for pop, pre_layer, post_layer in proj_info:
             pre_local = np.flatnonzero(spiked[pre_layer.start:pre_layer.stop])
             if plastic and pop.mode == "stdp":
                 decay_traces(pop, dt)
@@ -208,10 +199,8 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
             if pre_local.size:
                 # queue deliveries for the next step (one-step delay), using
                 # the weights as updated by this step's plasticity events
-                conns = pop.connections_by_pre(pre_local)
                 pend = pend_ex if pop.sign == "excitatory" else pend_in
-                pend += np.bincount(post_global[conns], weights=pop.weight[conns],
-                                    minlength=n)
+                pend[post_layer.start:post_layer.stop] += pop.summed_input(pre_local)
 
     return SpikeRecord.from_step_events(events, n, dt, sim.window)
 
@@ -291,7 +280,7 @@ class _CheckpointTrail:
         self._save(counter, final=True)
         if self.out_dir is not None:
             log_path = self.out_dir / f"phase{self.phase}_log.jsonl"
-            log_path.write_text("".join(self.log_lines))
+            write_atomic(log_path, "".join(self.log_lines).encode())
 
     def log(self, record: dict) -> None:
         self.log_lines.append(json.dumps(record, sort_keys=True) + "\n")
@@ -481,7 +470,7 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
     results: list[Trial] = []
     for i, w in enumerate(weights):
         candidate = net.copy()
-        candidate.projections["feat_readout"].weight.fill(w)
+        candidate.projections["feat_readout"].weight = w
         run_phase2(candidate, eval_subset, sim_one, enc, out_dir=None,
                    eval_each_epoch=False)
         report = evaluate(frozen_eval_net(candidate), eval_subset, sim, enc)

@@ -206,7 +206,7 @@ def test_c6_toy_run_reaches_80_percent():
     run_phase1(net, train, sim, enc)
     search = monte_carlo_weight_search(net, (80.0, 560.0), 5, train, sim, enc,
                                        seed=3)
-    net.projections["feat_readout"].weight.fill(search.best_weight)
+    net.projections["feat_readout"].weight = search.best_weight
     run_phase2(net, train, sim, enc, eval_each_epoch=False)
     report = evaluate(frozen_eval_net(net), test, sim, enc)
     elapsed = time.time() - t0
@@ -234,7 +234,7 @@ def test_c7_cifar_subset_smoke():
     search = monte_carlo_weight_search(net, (80.0, 560.0), 3,
                                        Dataset(samples=train.samples[:100],
                                                n_classes=2), sim, enc, seed=3)
-    net.projections["feat_readout"].weight.fill(search.best_weight)
+    net.projections["feat_readout"].weight = search.best_weight
     run_phase2(net, train, sim, enc, eval_each_epoch=False)
     report = evaluate(frozen_eval_net(net), test, sim, enc)
     assert report.overall > 0.60, f"CIFAR smoke accuracy {report.overall:.3f}"

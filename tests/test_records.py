@@ -47,3 +47,51 @@ def test_equality():
     b = SpikeRecord([np.array([1.0, 2.0])], 10.0)
     c = SpikeRecord([np.array([1.0, 2.5])], 10.0)
     assert a == b and a != c
+
+
+def from_step_events_loop(events, n_neurons, dt, window):
+    """Per-spike reference: append each spike to its neuron's list."""
+    per_neuron = [[] for _ in range(n_neurons)]
+    for step, ids in events:
+        for i in ids:
+            per_neuron[int(i)].append(step * dt)
+    return SpikeRecord([np.asarray(ts, dtype=np.float64) for ts in per_neuron], window)
+
+
+def test_from_step_events_matches_per_spike_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n, n_steps, dt = int(rng.integers(1, 40)), int(rng.integers(1, 300)), 0.1
+        silent = rng.random(n) < 0.3
+        events = []
+        for k in np.flatnonzero(rng.random(n_steps) < 0.4):
+            ids = np.flatnonzero((rng.random(n) < 0.3) & ~silent)
+            if ids.size:
+                events.append((int(k), ids))
+        rec = SpikeRecord.from_step_events(events, n, dt, n_steps * dt)
+        ref = from_step_events_loop(events, n, dt, n_steps * dt)
+        assert rec == ref
+        assert all(np.array_equal(a, b) for a, b in zip(rec.times, ref.times))
+        assert all(t.size == 0 for t, s in zip(rec.times, silent) if s)
+
+
+def test_from_step_events_validates():
+    with pytest.raises(ValueError):    # a neuron listed twice in one step
+        SpikeRecord.from_step_events([(1, np.array([0, 0]))], 2, 0.1, 1.0)
+    with pytest.raises(ValueError):    # a spike outside the window
+        SpikeRecord.from_step_events([(20, np.array([1]))], 2, 0.1, 1.0)
+    with pytest.raises(IndexError):
+        SpikeRecord.from_step_events([(1, np.array([2]))], 2, 0.1, 1.0)
+    assert SpikeRecord.from_step_events([], 3, 0.1, 1.0) == SpikeRecord.empty(3, 1.0)
+
+
+def test_validation_names_the_first_bad_neuron():
+    ok = np.array([1.0, 2.0])
+    cases = [([ok, np.array([np.inf]), np.array([3.0, 1.0])], "neuron 1: non-finite"),
+             ([ok, ok, np.array([2.0, 12.0])], "neuron 2: spike time outside"),
+             ([np.empty(0), np.array([2.0, 2.0]), np.array([-1.0])],
+              "neuron 1: spike times not strictly increasing"),
+             ([ok, np.array([np.nan, 1.0]), np.empty(0)], "neuron 1: non-finite")]
+    for times, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SpikeRecord(times, 10.0)

@@ -159,3 +159,15 @@ def test_teacher_train_spacing():
     assert one.size == 1 and one[0] == pytest.approx(50.0)
     with pytest.raises(ValueError):
         teacher_train(100.0, 0, 0.1)
+
+
+def test_wiring_table_names_each_projections_layers():
+    net = build_network(NetworkConfig(rows=4, cols=4, n_classes=2, neurons_per_class=2))
+    expected = {"input_feat": ("input", "feature"), "feat_inhib": ("feature", "inhib"),
+                "inhib_feat": ("inhib", "feature"), "feat_readout": ("feature", "readout"),
+                "readout_lateral": ("readout", "readout")}
+    assert {name: (pre.name, post.name) for name, (pre, post) in net.wiring.items()} == expected
+    for name, (pre, post) in net.wiring.items():
+        pop = net.projections[name]
+        assert (pop.n_pre, pop.n_post) == (pre.size, post.size)
+    assert net.copy().wiring == net.wiring

@@ -1,5 +1,8 @@
 """Training engine behavior: determinism, reset hygiene, phase separation,
-checkpoint cadence and resume, classification, and the weight search."""
+checkpoint cadence and resume, atomic saves, classification, and the weight
+search."""
+
+import os
 
 import numpy as np
 import pytest
@@ -221,3 +224,36 @@ def test_search_validates_arguments(sim, enc, tiny_ds):
         monte_carlo_weight_search(net, (400.0, 50.0), 2, tiny_ds, sim, enc)
     with pytest.raises(ValueError):
         monte_carlo_weight_search(net, (50.0, 400.0), 0, tiny_ds, sim, enc)
+
+
+class _FailingFile:
+    """A file whose write stores half of the data, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_save_keeps_previous_final_checkpoint(tmp_path, enc, tiny_ds, monkeypatch):
+    sim = SimulationConfig(seed=5, epochs_phase1=1, checkpoint_interval=100)
+    run_phase1(build_tiny(), tiny_ds, sim, enc, out_dir=tmp_path)
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "ckpt_phase1_final.bin" in files and "phase1_log.jsonl" in files
+
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: _FailingFile(real_fdopen(fd, *a, **k)))
+    with pytest.raises(OSError):
+        run_phase1(build_tiny(seed=6), tiny_ds, sim, enc, out_dir=tmp_path)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+    final = load_checkpoint(tmp_path / "ckpt_phase1_final.bin")
+    assert final.presentations == len(tiny_ds)
