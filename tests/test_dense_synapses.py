@@ -181,7 +181,8 @@ def test_stdp_events_equal_connection_updates(rule, sign, w_min):
             # random traces, so that updates drive weights into both bounds
             pop.pre_trace[:] = rng.uniform(0.0, 5.0, size=pop.n_pre)
             pop.post_trace[:] = rng.uniform(0.0, 5.0, size=pop.n_post)
-            # every neuron at once (the in-place path) or a random subset
+            # every neuron at once (a volley: the in-place path of a post
+            # event) or a random subset
             n_pre = pop.n_pre if rng.random() < 0.3 else int(rng.integers(1, pop.n_pre + 1))
             n_post = pop.n_post if rng.random() < 0.3 else int(rng.integers(1, pop.n_post + 1))
             pre_ids = np.sort(rng.choice(pop.n_pre, size=n_pre, replace=False))
