@@ -16,8 +16,8 @@ from .plasticity import (ResumeParams, StdpParams, SynapsePopulation,
                          decay_traces, freeze, resume_update, resume_window,
                          stdp_on_post, stdp_on_pre)
 from .records import SpikeRecord
-from .topology import (Layer, NetworkConfig, NetworkTopology, attach_teachers,
-                       build_network, connect, teacher_train)
+from .topology import (Layer, NetworkConfig, NetworkTopology, build_network,
+                       connect, teacher_train)
 from .dataio import (Checkpoint, Dataset, ImageSample, load_checkpoint,
                      load_cifar10, make_synthetic, save_checkpoint)
 from .training import (ClassificationResult, EvaluationReport, SearchResult,
@@ -34,7 +34,7 @@ __all__ = [
     "SpikeRecord",
     "EncodingConfig", "pixel_to_current", "encode_image", "calibrate_ik",
     "Layer", "NetworkConfig", "NetworkTopology", "build_network", "connect",
-    "attach_teachers", "teacher_train",
+    "teacher_train",
     "Dataset", "ImageSample", "load_cifar10", "make_synthetic",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
     "SimulationConfig", "ClassificationResult", "EvaluationReport",

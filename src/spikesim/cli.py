@@ -10,6 +10,7 @@ reports, and logs. Exit codes: 0 success, 1 usage error, 2 data/format error,
 from __future__ import annotations
 
 import argparse
+import difflib
 import logging
 import sys
 import time
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (Dataset, apply_checkpoint, load_cifar10, load_checkpoint,
-                     make_synthetic, read_kv, write_kv)
+                     make_synthetic, read_kv, write_atomic, write_kv)
 from .encoding import EncodingConfig, calibrate_ik
 from .errors import DataFormatError, NumericError, UsageError
 from .neuron import NeuronParams
@@ -32,6 +33,21 @@ logger = logging.getLogger(__name__)
 
 _NEURON_KEYS = ("C_m", "tau_m", "E_L", "tau_syn_ex", "tau_syn_in", "t_ref",
                 "tau1", "tau2", "alpha1", "alpha2", "omega")
+
+# every key a run config may hold (the README config reference)
+CONFIG_KEYS = (
+    "rows", "cols", "n_classes", "neurons_per_class", "feature_fraction",
+    "topology_seed",
+    "w_input_feat", "w_feat_inhib", "w_inhib_feat", "w_feat_readout",
+    "w_readout_lateral", "weight_jitter", "feat_readout_partitioned",
+    "train_readout_lateral",
+    "dt", "window", "epochs_phase1", "epochs_phase2", "checkpoint_interval",
+    "shuffle_seed", "seed", "search_seed",
+    "i_k", "target",
+    "dataset", "data_dir", "synth_train_per_class", "synth_test_per_class",
+    "synth_noise", "synth_seed", "synth_test_seed", "limit_train", "limit_test",
+    "limit_classes",
+) + tuple(f"neuron_{k}" for k in _NEURON_KEYS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,8 +76,14 @@ def _get(cfg: dict[str, str], key: str, cast, default):
 
 
 def load_run_config(path: str | Path):
-    """Build the typed configs from a key=value file."""
+    """Build the typed configs from a key=value file; unknown keys are
+    rejected, so a misspelt key cannot fall back to its default."""
     cfg = read_kv(path)
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            close = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise DataFormatError(f"{path}: unknown config key {key!r}{hint}")
     net_cfg = NetworkConfig(
         rows=_get(cfg, "rows", int, 32),
         cols=_get(cfg, "cols", int, 32),
@@ -216,8 +238,8 @@ def cmd_search_weights(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ranked = sorted(result.trials, key=lambda t: (-t.accuracy, t.weight))
     lines = [f"{t.weight:.6f}\t{t.accuracy:.6f}" for t in ranked]
-    (out_dir / "weight_search.tsv").write_text(
-        "weight\taccuracy\n" + "\n".join(lines) + "\n")
+    write_atomic(out_dir / "weight_search.tsv",
+                 ("weight\taccuracy\n" + "\n".join(lines) + "\n").encode())
     for t in result.trials:
         print(f"trial: weight={t.weight:.3f} accuracy={t.accuracy:.4f}")
     print(f"best initial weight: {result.best_weight:.3f}")
@@ -233,7 +255,7 @@ def cmd_test(args) -> int:
     dataset = resolve_dataset(cfg, net_cfg, "test", args.data)
     net = build_network(net_cfg, params)
     apply_checkpoint(net, load_checkpoint(args.checkpoint))
-    report = evaluate(net, dataset, sim, enc, workers=args.workers)
+    report = evaluate(net, dataset, sim, enc)
     print(report.render())
     return 0
 
@@ -298,7 +320,6 @@ def build_parser() -> _Parser:
     e.add_argument("--config", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data")
-    e.add_argument("--workers", type=int, default=1)
     e.set_defaults(fn=cmd_test)
 
     i = sub.add_parser("inspect", help="print checkpoint metadata and weight stats")

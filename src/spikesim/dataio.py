@@ -6,9 +6,11 @@ Images are converted to grayscale in [0, 1] with the BT.601 luma weights
 (0.299 R + 0.587 G + 0.114 B) / 255.
 
 Checkpoints are little-endian binary: an 8-byte magic, a format version, the
-topology config hash, the training phase tag, the presentation counter, the
-serialized RNG state, then one length-prefixed float64 array per projection in
-the fixed projection order. Save/load round-trips are bit-exact.
+topology config hash, the training phase tag, the presentation counter, then
+one length-prefixed float64 array per projection in the fixed projection
+order. Save/load round-trips are bit-exact. Version 1 files also hold a
+length-prefixed JSON RNG state after the counter, which nothing consumes: it
+is still read and validated, then dropped.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +36,7 @@ _RECORD_BYTES = 3073
 _PLANE = 1024
 
 CHECKPOINT_MAGIC = b"SPIKCKP\x01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -204,26 +207,23 @@ class Checkpoint:
     fingerprint: str                    # topology config hash (hex)
     phase: int                          # 1 or 2
     presentations: int                  # presentations completed so far
-    rng_state: dict                     # numpy bit-generator state
     weights: dict[str, np.ndarray]      # projection name -> weight array
-    version: int = CHECKPOINT_VERSION
+    version: int = CHECKPOINT_VERSION   # as read; saves write the current one
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write the checkpoint in the little-endian binary layout."""
+    """Write the checkpoint in the current little-endian binary layout."""
     if ckpt.phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {ckpt.phase}")
     if set(ckpt.weights) != set(PROJECTION_ORDER):
         raise ValueError("checkpoint must hold exactly the five projections")
-    rng_blob = json.dumps(ckpt.rng_state, sort_keys=True).encode()
     fp_blob = bytes.fromhex(ckpt.fingerprint)
     parts = [
         CHECKPOINT_MAGIC,
-        struct.pack("<I", ckpt.version),
+        struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<I", len(fp_blob)), fp_blob,
         struct.pack("<I", ckpt.phase),
         struct.pack("<Q", ckpt.presentations),
-        struct.pack("<Q", len(rng_blob)), rng_blob,
     ]
     for name in PROJECTION_ORDER:
         w = np.ascontiguousarray(ckpt.weights[name], dtype="<f8")
@@ -235,16 +235,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Write `data` to `path` through a temp file in the same directory and
     an atomic rename: a reader sees the old file or the complete new one,
-    and a write that fails midway leaves no partial file behind."""
-    path = Path(path)
+    and a write that fails midway leaves no partial file behind. A symlink
+    is written through, and a file that exists keeps its permissions."""
+    path = Path(path).resolve()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        # os.open applies the umask, so the file gets the usual permissions
+        # os.open applies the umask, so a new file gets the usual permissions
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         with os.fdopen(fd, "wb") as f:
             f.write(data)
             f.flush()
             os.fsync(f.fileno())
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -270,24 +273,25 @@ class _Reader:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and validate a checkpoint file."""
+    """Read and validate a checkpoint file (the current version or v1)."""
     r = _Reader(Path(path).read_bytes(), str(path))
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a checkpoint file")
     version = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise DataFormatError(
             f"{path}: unsupported checkpoint version {version} "
-            f"(expected {CHECKPOINT_VERSION})")
+            f"(expected 1 or {CHECKPOINT_VERSION})")
     fp = r.take(r.unpack("<I")).hex()
     phase = r.unpack("<I")
     if phase not in (1, 2):
         raise DataFormatError(f"{path}: invalid phase tag {phase}")
     presentations = r.unpack("<Q")
-    try:
-        rng_state = json.loads(r.take(r.unpack("<Q")).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"{path}: corrupt RNG state: {e}") from None
+    if version == 1:
+        try:
+            json.loads(r.take(r.unpack("<Q")).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataFormatError(f"{path}: corrupt RNG state: {e}") from None
     weights: dict[str, np.ndarray] = {}
     for name in PROJECTION_ORDER:
         size = r.unpack("<Q")
@@ -296,16 +300,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if r.off != len(r.blob):
         raise DataFormatError(f"{path}: {len(r.blob) - r.off} trailing bytes")
     return Checkpoint(fingerprint=fp, phase=phase, presentations=presentations,
-                      rng_state=rng_state, weights=weights, version=version)
+                      weights=weights, version=version)
 
 
-def checkpoint_from_network(net: NetworkTopology, phase: int, presentations: int,
-                            rng: np.random.Generator | None = None) -> Checkpoint:
-    state = rng.bit_generator.state if rng is not None else \
-        np.random.default_rng(net.config.seed).bit_generator.state
+def checkpoint_from_network(net: NetworkTopology, phase: int,
+                            presentations: int) -> Checkpoint:
     return Checkpoint(
         fingerprint=net.fingerprint(), phase=phase, presentations=presentations,
-        rng_state=state,
         weights={name: net.projections[name].weight.copy()
                  for name in PROJECTION_ORDER})
 
@@ -349,6 +350,6 @@ def read_kv(path: str | Path) -> dict[str, str]:
 
 
 def write_kv(path: str | Path, items: dict[str, object]) -> None:
-    """Write a key=value file with keys in insertion order."""
+    """Write a key=value file with keys in insertion order, atomically."""
     lines = [f"{k} = {v}" for k, v in items.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())

@@ -107,13 +107,13 @@ class SynapsePopulation:
     per-connection order is the checkpoint layout.
 
     `plasticity` is None for a static projection, StdpParams or ResumeParams
-    otherwise. Traces exist only in stdp mode. `delay` is in simulation steps.
+    otherwise. Traces exist only in stdp mode.
     """
 
     def __init__(self, name: str, pre_index, post_index, weight, sign: str,
                  n_pre: int, n_post: int,
                  plasticity: StdpParams | ResumeParams | None = None,
-                 delay: int = 1, pre_trace: np.ndarray | None = None,
+                 pre_trace: np.ndarray | None = None,
                  post_trace: np.ndarray | None = None) -> None:
         if sign not in SIGNS:
             raise ValueError(f"unknown synapse sign {sign!r}")
@@ -122,7 +122,6 @@ class SynapsePopulation:
         self.n_pre = int(n_pre)
         self.n_post = int(n_post)
         self.plasticity = plasticity
-        self.delay = delay
         self.pre_index = np.asarray(pre_index, dtype=np.int64)
         self.post_index = np.asarray(post_index, dtype=np.int64)
         if not (self.pre_index.ndim == 1
@@ -133,8 +132,6 @@ class SynapsePopulation:
                 raise ValueError("pre_index out of range")
             if self.post_index.min() < 0 or self.post_index.max() >= self.n_post:
                 raise ValueError("post_index out of range")
-        if self.delay < 1:
-            raise ValueError("delay must be at least one step")
         connected = np.zeros((self.n_pre, self.n_post), dtype=bool)
         connected[self.pre_index, self.post_index] = True
         if np.count_nonzero(connected) != self.pre_index.size:
@@ -286,12 +283,12 @@ def decay_traces(pop: SynapsePopulation, dt: float) -> SynapsePopulation:
     return pop
 
 
-def stdp_on_pre(pop: SynapsePopulation, pre_neuron, t: float) -> SynapsePopulation:
+def stdp_on_pre(pop: SynapsePopulation, pre_neuron) -> SynapsePopulation:
     """Apply the pre-spike event: depress from the post trace, bump pre trace.
 
     `pre_neuron` may be an int or an array of distinct ids spiking this step;
     each one's row of W moves by the same post-trace vector. Traces must
-    already be decayed to time t.
+    already be decayed to the current step.
     """
     p = _require_stdp(pop)
     ids = np.atleast_1d(np.asarray(pre_neuron, dtype=np.int64))
@@ -305,7 +302,7 @@ def stdp_on_pre(pop: SynapsePopulation, pre_neuron, t: float) -> SynapsePopulati
     return pop
 
 
-def stdp_on_post(pop: SynapsePopulation, post_neuron, t: float) -> SynapsePopulation:
+def stdp_on_post(pop: SynapsePopulation, post_neuron) -> SynapsePopulation:
     """Apply the post-spike event: potentiate from the pre trace, bump post
     trace. Each spiking post neuron's column of W moves by the pre trace."""
     p = _require_stdp(pop)

@@ -1,4 +1,4 @@
-"""Network construction: layers, projections, and teacher wiring.
+"""Network construction: layers, projections, and teacher trains.
 
 Four layers of identical neurons:
 
@@ -186,7 +186,6 @@ class NetworkTopology:
     readout_layer: Layer
     projections: dict[str, SynapsePopulation]
     class_of: np.ndarray            # readout-local index -> class id
-    teachers_attached: bool = False
     # PROJECTION_LAYERS resolved to this network's Layer objects, once
     wiring: dict[str, tuple[Layer, Layer]] = field(init=False, repr=False)
 
@@ -219,7 +218,6 @@ class NetworkTopology:
             inhib_layer=self.inhib_layer, readout_layer=self.readout_layer,
             projections={k: p.copy() for k, p in self.projections.items()},
             class_of=self.class_of.copy(),
-            teachers_attached=self.teachers_attached,
         )
 
     def ordered_projections(self) -> list[SynapsePopulation]:
@@ -283,14 +281,6 @@ def build_network(cfg: NetworkConfig, params: NeuronParams | None = None) -> Net
         input_layer=input_layer, feature_layer=feature_layer,
         inhib_layer=inhib_layer, readout_layer=readout_layer,
         projections=projections, class_of=class_of)
-
-
-def attach_teachers(net: NetworkTopology) -> NetworkTopology:
-    """Mark the per-class teachers active (phase-2 construction only)."""
-    if net.teachers_attached:
-        raise ValueError("teachers already attached")
-    net.teachers_attached = True
-    return net
 
 
 def teacher_train(window: float, rate_target: int, dt: float) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .plasticity import (SynapsePopulation, decay_traces, excitatory_resume,
                          inhibitory_stdp, resume_update, stdp_on_post,
                          stdp_on_pre)
 from .records import SpikeRecord
-from .topology import NetworkTopology, attach_teachers, teacher_train
+from .topology import NetworkTopology, teacher_train
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +52,7 @@ class SimulationConfig:
     epochs_phase1: int = 5
     epochs_phase2: int = 5
     checkpoint_interval: int = 500  # presentations between checkpoints
-    seed: int = 0
+    seed: int = 0                   # only the default for the CLI's search_seed
     shuffle_seed: int | None = None  # None = fixed dataset order
 
     def __post_init__(self) -> None:
@@ -163,7 +162,10 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     state = new_state(n, params)
     _clear_traces(net)
 
-    proj_info = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
+    # (projection, pre layer, post layer, learns by STDP in this presentation)
+    proj_info = [(pop, *net.wiring[pop.name], plastic and pop.mode == "stdp")
+                 for pop in net.ordered_projections()]
+    stdp_pops = [pop for pop, *_, learns in proj_info if learns]
 
     pend_ex = np.zeros(n, dtype=np.float64)
     pend_in = np.zeros(n, dtype=np.float64)
@@ -178,24 +180,23 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
             pend_in.fill(0.0)
 
         state, spiked = step_neuron(state, params, I_ext, dt, validate=(k == 0))
+        # each projection's traces are touched only by its own events, so
+        # decaying them all before any event equals decaying each just before
+        # its own
+        for pop in stdp_pops:
+            decay_traces(pop, dt)
         if not spiked.any():
-            if plastic:
-                for pop, *_ in proj_info:
-                    if pop.mode == "stdp":
-                        decay_traces(pop, dt)
             continue
-        t = k * dt
         events.append((k, np.flatnonzero(spiked)))
 
-        for pop, pre_layer, post_layer in proj_info:
+        for pop, pre_layer, post_layer, learns in proj_info:
             pre_local = np.flatnonzero(spiked[pre_layer.start:pre_layer.stop])
-            if plastic and pop.mode == "stdp":
-                decay_traces(pop, dt)
+            if learns:
                 post_local = np.flatnonzero(spiked[post_layer.start:post_layer.stop])
                 if pre_local.size:
-                    stdp_on_pre(pop, pre_local, t)
+                    stdp_on_pre(pop, pre_local)
                 if post_local.size:
-                    stdp_on_post(pop, post_local, t)
+                    stdp_on_post(pop, post_local)
             if pre_local.size:
                 # queue deliveries for the next step (one-step delay), using
                 # the weights as updated by this step's plasticity events
@@ -257,7 +258,6 @@ class _CheckpointTrail:
         self.phase = phase
         self.sim = sim
         self.net = net
-        self.rng = np.random.default_rng(sim.seed)
         self.paths: list[Path] = []
         self.log_lines: list[str] = []
         if out_dir is not None:
@@ -268,7 +268,7 @@ class _CheckpointTrail:
             return
         tag = "final" if final else f"{counter:08d}"
         path = self.out_dir / f"ckpt_phase{self.phase}_{tag}.bin"
-        ckpt = checkpoint_from_network(self.net, self.phase, counter, rng=self.rng)
+        ckpt = checkpoint_from_network(self.net, self.phase, counter)
         save_checkpoint(ckpt, path)
         self.paths.append(path)
 
@@ -337,8 +337,6 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                start_presentation: int = 0,
                eval_each_epoch: bool = True) -> PhaseResult:
     """Supervised readout training against per-class teacher trains."""
-    if not net.teachers_attached:
-        attach_teachers(net)
     set_phase2_modes(net)
     out = Path(out_dir) if out_dir is not None else None
     trail = _CheckpointTrail(out, 2, sim, net)
@@ -402,30 +400,14 @@ def classify(net: NetworkTopology, img, sim: SimulationConfig,
 
 
 def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
-             enc: EncodingConfig, workers: int = 1) -> EvaluationReport:
-    """Accuracy over a dataset: overall, per class, and the class mean +- std.
-
-    `workers` parallelizes the (read-only) per-image presentations; results
-    are reduced in dataset order, so the report is identical for any count.
-    """
+             enc: EncodingConfig) -> EvaluationReport:
+    """Accuracy over a dataset: overall, per class, and the class mean +- std."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
-    def one(i: int) -> tuple[int, bool]:
-        res = classify(net, dataset[i], sim, enc)
-        return res.predicted, res.tie
-
-    if workers == 1:
-        results = [one(i) for i in range(len(dataset))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(len(dataset))))
-
+    results = [classify(net, sample, sim, enc) for sample in dataset]
     labels = dataset.labels()
-    predicted = np.array([p for p, _ in results], dtype=np.int64)
-    ties = sum(1 for _, t in results if t)
+    predicted = np.array([r.predicted for r in results], dtype=np.int64)
+    ties = sum(r.tie for r in results)
     correct = predicted == labels
     class_ids = np.flatnonzero(np.bincount(labels, minlength=dataset.n_classes))
     per_class = np.array([correct[labels == c].mean() for c in class_ids])

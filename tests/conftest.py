@@ -1,5 +1,7 @@
 """Shared fixtures: default parameters and a tiny network for fast tests."""
 
+import os
+
 import pytest
 
 from spikesim import (EncodingConfig, NetworkConfig, NeuronParams,
@@ -8,6 +10,30 @@ from spikesim import (EncodingConfig, NetworkConfig, NeuronParams,
 # Calibration constant for the default neuron (100 ms window, 10 spikes,
 # dt=0.1 ms), frozen from the reference calibration run.
 I_K_DEFAULT = 797.4
+
+
+class _FailingFile:
+    """A file whose write stores half of the data, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def fail_writes(monkeypatch):
+    """Make every later write to a file opened by os.fdopen store half of
+    its data and then fail, as on a full disk."""
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: _FailingFile(real_fdopen(fd, *a, **k)))
 
 
 @pytest.fixture

@@ -86,9 +86,9 @@ def test_c3_stdp_matches_all_pairs_double_sum():
             if k > prev:
                 decay_traces(pop, (k - prev) * DT)
             if k in pre_set:  # pre before post: coincident pairs potentiate
-                stdp_on_pre(pop, 0, k * DT)
+                stdp_on_pre(pop, 0)
             if k in post_set:
-                stdp_on_post(pop, 0, k * DT)
+                stdp_on_post(pop, 0)
             prev = k
         tp = np.array(sorted(pre_set), dtype=np.float64) * DT
         tq = np.array(sorted(post_set), dtype=np.float64) * DT
@@ -111,8 +111,8 @@ def test_c3_stdp_matches_all_pairs_double_sum():
                             n_pre=1, n_post=1, plasticity=hot)
     for k in range(10):
         decay_traces(pop, DT)
-        stdp_on_pre(pop, 0, k * DT)
-        stdp_on_post(pop, 0, k * DT)
+        stdp_on_pre(pop, 0)
+        stdp_on_post(pop, 0)
         assert 0.0 <= pop.weight[0] <= 1200.0
     assert pop.weight[0] == 1200.0
 
@@ -247,8 +247,7 @@ def test_c8_persistence_and_determinism(tmp_path):
 
     # bit-exact round trip
     net = build_network(cfg)
-    ckpt = checkpoint_from_network(net, phase=1, presentations=9,
-                                   rng=np.random.default_rng(1))
+    ckpt = checkpoint_from_network(net, phase=1, presentations=9)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_checkpoint(ckpt, p1)
     save_checkpoint(ckpt, p2)

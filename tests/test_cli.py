@@ -4,10 +4,11 @@ config handling, manifests, and exit codes."""
 import numpy as np
 import pytest
 
-from spikesim.cli import main
+from spikesim import NeuronParams
+from spikesim.cli import CONFIG_KEYS, load_run_config, main, resolve_dataset
 from spikesim.dataio import load_checkpoint, read_kv, write_kv
 
-from conftest import I_K_DEFAULT
+from conftest import I_K_DEFAULT, fail_writes
 
 TINY = {
     "dataset": "synthetic",
@@ -42,6 +43,52 @@ def test_calibrate_no_write(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "run.cfg")
     assert main(["calibrate", "--config", cfg, "--no-write"]) == 0
     assert "i_k" not in read_kv(cfg)
+
+
+def test_failed_calibrate_write_keeps_config(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "run.cfg")
+    before = (tmp_path / "run.cfg").read_bytes()
+    fail_writes(monkeypatch)
+    assert main(["calibrate", "--config", cfg]) == 2
+    monkeypatch.undo()
+    assert (tmp_path / "run.cfg").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_unknown_config_key_names_the_closest(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, epoch_phase1=3)
+    assert main(["train", "--phase", "1", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'epoch_phase1'" in err and "'epochs_phase1'" in err
+    assert not (tmp_path / "o").exists()
+
+
+# one value for every key of the README config reference
+EVERY_KEY = {
+    "rows": 4, "cols": 4, "n_classes": 2, "neurons_per_class": 2,
+    "feature_fraction": 0.25, "topology_seed": 5,
+    "w_input_feat": 600.0, "w_feat_inhib": 490.84, "w_inhib_feat": -100.0,
+    "w_feat_readout": 241.0, "w_readout_lateral": -120.0, "weight_jitter": 0.1,
+    "feat_readout_partitioned": "false", "train_readout_lateral": "true",
+    "dt": 0.1, "window": 100.0, "epochs_phase1": 2, "epochs_phase2": 3,
+    "checkpoint_interval": 100, "shuffle_seed": 4, "seed": 5, "search_seed": 6,
+    "i_k": I_K_DEFAULT, "target": 10,
+    "dataset": "synthetic", "data_dir": "cifar", "synth_train_per_class": 2,
+    "synth_test_per_class": 1, "synth_noise": 0.03, "synth_seed": 11,
+    "synth_test_seed": 12, "limit_train": 0, "limit_test": 0, "limit_classes": 0,
+    **{f"neuron_{k}": v for k, v in vars(NeuronParams()).items()},
+}
+
+
+def test_every_documented_key_loads(tmp_path):
+    assert set(EVERY_KEY) == set(CONFIG_KEYS)
+    path = tmp_path / "all.cfg"
+    write_kv(path, EVERY_KEY)
+    cfg, net_cfg, sim, params = load_run_config(path)
+    assert (net_cfg.rows, net_cfg.seed, sim.epochs_phase2, sim.shuffle_seed) == (4, 5, 3, 4)
+    assert params == NeuronParams()
+    assert len(resolve_dataset(cfg, net_cfg, "test", None)) == 2
 
 
 def test_full_flow(tmp_path, cfg_path, capsys):
@@ -98,6 +145,11 @@ def test_usage_errors_exit_1(tmp_path):
     cfg = write_cfg(tmp_path / "c.cfg", dataset="cifar10", i_k=I_K_DEFAULT)
     assert main(["train", "--phase", "1", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 1      # cifar10 without data dir
+
+
+def test_workers_option_removed(cfg_path):
+    assert main(["test", "--config", cfg_path, "--checkpoint", "ck.bin",
+                 "--workers", "2"]) == 1
 
 
 def test_data_errors_exit_2(tmp_path, cfg_path):

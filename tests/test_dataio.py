@@ -1,16 +1,20 @@
 """Datasets, CIFAR-10 binary loading, checkpoint serialization, and the flat
 key=value config format."""
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spikesim import (Dataset, ImageSample, NetworkConfig, build_network,
                       load_checkpoint, save_checkpoint)
-from spikesim.dataio import (TEMPLATE_LEVELS, apply_checkpoint,
-                             checkpoint_from_network, class_templates,
-                             grayscale, load_cifar10, make_synthetic, read_kv,
-                             write_kv)
+from spikesim.dataio import (CHECKPOINT_VERSION, TEMPLATE_LEVELS,
+                             apply_checkpoint, checkpoint_from_network,
+                             class_templates, grayscale, load_cifar10,
+                             make_synthetic, read_kv, write_kv)
 from spikesim.errors import DataFormatError
+from spikesim.topology import PROJECTION_ORDER
 
 RECORD = 3073
 
@@ -152,14 +156,12 @@ def small_net(seed=5):
 
 def test_checkpoint_round_trip(tmp_path):
     net = small_net()
-    rng = np.random.default_rng(3)
-    ckpt = checkpoint_from_network(net, phase=1, presentations=42, rng=rng)
+    ckpt = checkpoint_from_network(net, phase=1, presentations=42)
     path = tmp_path / "ck.bin"
     save_checkpoint(ckpt, path)
     back = load_checkpoint(path)
     assert back.phase == 1 and back.presentations == 42
     assert back.fingerprint == net.fingerprint()
-    assert back.rng_state == ckpt.rng_state
     for name, w in ckpt.weights.items():
         assert np.array_equal(back.weights[name], w)
 
@@ -235,6 +237,43 @@ def test_load_checkpoint_corruption(tmp_path):
         load_checkpoint(bad_version)
 
 
+# A version-1 checkpoint of small_net(), saved right after build_network.
+# Version 1 holds a length-prefixed JSON RNG state after the presentation
+# counter, at byte 60: magic 8, version 4, fingerprint length 4 + 32, phase 4,
+# counter 8.
+V1_CHECKPOINT = Path(__file__).parent / "data" / "ckpt_v1_small_net.bin"
+V1_RNG_AT = 60
+
+
+def test_v1_checkpoint_loads():
+    ckpt = load_checkpoint(V1_CHECKPOINT)
+    net = small_net()
+    assert (ckpt.version, ckpt.phase, ckpt.presentations) == (1, 1, 0)
+    assert ckpt.fingerprint == net.fingerprint()
+    for name in PROJECTION_ORDER:
+        assert np.array_equal(ckpt.weights[name], net.projections[name].weight)
+
+
+def test_v1_checkpoint_resaves_without_rng_state(tmp_path):
+    raw = V1_CHECKPOINT.read_bytes()
+    (blob_len,) = struct.unpack_from("<Q", raw, V1_RNG_AT)
+    path = tmp_path / "v2.bin"
+    save_checkpoint(load_checkpoint(V1_CHECKPOINT), path)
+    assert CHECKPOINT_VERSION == 2
+    assert path.read_bytes() == (raw[:8] + struct.pack("<I", 2) + raw[12:V1_RNG_AT]
+                                 + raw[V1_RNG_AT + 8 + blob_len:])
+    assert load_checkpoint(path).version == 2
+
+
+def test_v1_checkpoint_corrupt_rng_state(tmp_path):
+    raw = bytearray(V1_CHECKPOINT.read_bytes())
+    raw[V1_RNG_AT + 8] = 0xFF          # first byte of the JSON
+    bad = tmp_path / "v1.bin"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="RNG state"):
+        load_checkpoint(bad)
+
+
 # -- key=value config files ------------------------------------------------------
 
 
@@ -243,6 +282,17 @@ def test_kv_round_trip(tmp_path):
     write_kv(path, {"rows": 8, "noise": 0.03, "dataset": "synthetic"})
     back = read_kv(path)
     assert back == {"rows": "8", "noise": "0.03", "dataset": "synthetic"}
+
+
+def test_kv_rewrite_keeps_symlink_and_mode(tmp_path):
+    real, link = tmp_path / "real.cfg", tmp_path / "link.cfg"
+    write_kv(real, {"rows": 8})
+    real.chmod(0o600)
+    link.symlink_to(real.name)
+    write_kv(link, {"rows": 8, "i_k": 797.4})
+    assert link.is_symlink() and read_kv(real) == {"rows": "8", "i_k": "797.4"}
+    assert real.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.cfg", "real.cfg"]
 
 
 def test_kv_skips_comments_and_blanks(tmp_path):

@@ -189,10 +189,10 @@ def test_stdp_events_equal_connection_updates(rule, sign, w_min):
             post_ids = np.sort(rng.choice(pop.n_post, size=n_post, replace=False))
             if rng.random() < 0.7:
                 ref_stdp_on_pre(pop, w, pop.post_trace.copy(), pre_ids)
-                stdp_on_pre(pop, pre_ids, 0.0)
+                stdp_on_pre(pop, pre_ids)
             if rng.random() < 0.5:
                 ref_stdp_on_post(pop, w, pop.pre_trace.copy(), post_ids)
-                stdp_on_post(pop, post_ids, 0.0)
+                stdp_on_post(pop, post_ids)
             assert np.array_equal(pop.weight, w)
             assert_masked(pop)
         lo, hi = pop._bounds()

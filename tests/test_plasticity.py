@@ -36,9 +36,9 @@ def replay_trace_stdp(pop, pre_steps, post_steps):
         elif k > 0:
             decay_traces(pop, k * DT)
         if k in set(pre_steps):
-            stdp_on_pre(pop, 0, k * DT)
+            stdp_on_pre(pop, 0)
         if k in set(post_steps):
-            stdp_on_post(pop, 0, k * DT)
+            stdp_on_post(pop, 0)
         prev = k
     return pop
 
@@ -80,17 +80,17 @@ def test_stdp_equals_all_pairs_double_sum():
 def test_coincident_pair_potentiates():
     # same-step pre and post: pre first, so the pair lands at delta t = 0
     pop = make_pair("excitatory", 600.0, excitatory_stdp())
-    stdp_on_pre(pop, 0, 0.0)
-    stdp_on_post(pop, 0, 0.0)
+    stdp_on_pre(pop, 0)
+    stdp_on_post(pop, 0)
     p = pop.plasticity
     assert pop.weight[0] == pytest.approx(600.0 + p.A_plus * p.W_max, abs=1e-12)
 
 
 def test_post_before_pre_depresses():
     pop = make_pair("excitatory", 600.0, excitatory_stdp())
-    stdp_on_post(pop, 0, 0.0)
+    stdp_on_post(pop, 0)
     decay_traces(pop, 5.0)
-    stdp_on_pre(pop, 0, 5.0)
+    stdp_on_pre(pop, 0)
     p = pop.plasticity
     expected = 600.0 - p.A_minus * p.W_max * np.exp(-5.0 / p.tau_trace)
     assert pop.weight[0] == pytest.approx(expected, abs=1e-12)
@@ -98,8 +98,8 @@ def test_post_before_pre_depresses():
 
 def test_inhibitory_potentiation_grows_magnitude():
     pop = make_pair("inhibitory", -100.0, inhibitory_stdp())
-    stdp_on_pre(pop, 0, 0.0)
-    stdp_on_post(pop, 0, 0.0)
+    stdp_on_pre(pop, 0)
+    stdp_on_post(pop, 0)
     assert pop.weight[0] < -100.0
 
 
@@ -108,8 +108,8 @@ def test_clipping_saturates_at_bounds():
     pop = make_pair("excitatory", 1100.0, hot)
     for k in range(10):
         decay_traces(pop, DT)
-        stdp_on_pre(pop, 0, k * DT)
-        stdp_on_post(pop, 0, k * DT)
+        stdp_on_pre(pop, 0)
+        stdp_on_post(pop, 0)
         assert 0.0 <= pop.weight[0] <= 1200.0
     assert pop.weight[0] == 1200.0
 
@@ -117,8 +117,8 @@ def test_clipping_saturates_at_bounds():
         A_plus=0.9, A_minus=0.0, tau_trace=10.0, W_max=1200.0))
     for k in range(10):
         decay_traces(pop, DT)
-        stdp_on_pre(pop, 0, k * DT)
-        stdp_on_post(pop, 0, k * DT)
+        stdp_on_pre(pop, 0)
+        stdp_on_post(pop, 0)
         assert -1200.0 <= pop.weight[0] <= 0.0
     assert pop.weight[0] == -1200.0
 
@@ -135,7 +135,7 @@ def test_table_parameter_factories():
 def test_stdp_requires_stdp_mode():
     pop = make_pair("excitatory", 600.0, None)
     with pytest.raises(ValueError):
-        stdp_on_pre(pop, 0, 0.0)
+        stdp_on_pre(pop, 0)
 
 
 # -- ReSuMe -------------------------------------------------------------------
@@ -233,8 +233,8 @@ def test_resume_requires_resume_mode():
 
 def test_freeze_preserves_weights_and_is_idempotent():
     pop = make_pair("excitatory", 600.0, excitatory_stdp())
-    stdp_on_pre(pop, 0, 0.0)
-    stdp_on_post(pop, 0, 0.0)
+    stdp_on_pre(pop, 0)
+    stdp_on_post(pop, 0)
     w = pop.weight.copy()
     freeze(pop)
     assert pop.mode == "static"
@@ -258,6 +258,6 @@ def test_population_sign_validation():
 def test_stdp_ids_out_of_range_rejected():
     pop = make_pair("excitatory", 600.0, excitatory_stdp())
     with pytest.raises(IndexError):
-        stdp_on_pre(pop, 3, 0.0)
+        stdp_on_pre(pop, 3)
     with pytest.raises(IndexError):
-        stdp_on_post(pop, -1, 0.0)
+        stdp_on_post(pop, -1)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from spikesim import NetworkConfig, NeuronParams, build_network
-from spikesim.topology import (PROJECTION_ORDER, attach_teachers, connect,
-                               teacher_train)
+from spikesim.topology import PROJECTION_ORDER, connect, teacher_train
 
 
 def test_default_layer_sizes_and_projection_counts():
@@ -137,15 +136,6 @@ def test_class_of_groups_contiguous():
     net = build_network(NetworkConfig(rows=4, cols=4, n_classes=3,
                                       neurons_per_class=2))
     assert net.class_of.tolist() == [0, 0, 1, 1, 2, 2]
-
-
-def test_attach_teachers_once():
-    net = build_network(NetworkConfig(rows=4, cols=4, n_classes=2,
-                                      neurons_per_class=2))
-    attach_teachers(net)
-    assert net.teachers_attached
-    with pytest.raises(ValueError):
-        attach_teachers(net)
 
 
 def test_teacher_train_spacing():

@@ -2,8 +2,6 @@
 checkpoint cadence and resume, atomic saves, classification, and the weight
 search."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from spikesim.topology import PROJECTION_ORDER
 from spikesim.training import (frozen_eval_net, monte_carlo_weight_search,
                                set_phase1_modes, set_phase2_modes)
 
-from conftest import I_K_DEFAULT
+from conftest import I_K_DEFAULT, fail_writes
 
 
 @pytest.fixture
@@ -180,14 +178,6 @@ def test_evaluate_report_shape(sim, enc, tiny_ds):
     assert "class_0" in text and "overall" in text and "+-" in text
 
 
-def test_evaluate_workers_equivalent(sim, enc, tiny_ds):
-    net = trained_tiny(sim, enc, tiny_ds)
-    one = evaluate(net, tiny_ds, sim, enc, workers=1)
-    four = evaluate(net, tiny_ds, sim, enc, workers=4)
-    assert one.overall == four.overall
-    assert np.array_equal(one.per_class, four.per_class)
-
-
 def test_evaluate_empty_rejected(sim, enc, tiny_ds):
     from spikesim import Dataset
     net = trained_tiny(sim, enc, tiny_ds)
@@ -226,31 +216,13 @@ def test_search_validates_arguments(sim, enc, tiny_ds):
         monte_carlo_weight_search(net, (50.0, 400.0), 0, tiny_ds, sim, enc)
 
 
-class _FailingFile:
-    """A file whose write stores half of the data, then fails."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def write(self, data):
-        self.f.write(data[:len(data) // 2])
-        raise OSError(28, "No space left on device")
-
-
 def test_failed_save_keeps_previous_final_checkpoint(tmp_path, enc, tiny_ds, monkeypatch):
     sim = SimulationConfig(seed=5, epochs_phase1=1, checkpoint_interval=100)
     run_phase1(build_tiny(), tiny_ds, sim, enc, out_dir=tmp_path)
     files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert "ckpt_phase1_final.bin" in files and "phase1_log.jsonl" in files
 
-    real_fdopen = os.fdopen
-    monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: _FailingFile(real_fdopen(fd, *a, **k)))
+    fail_writes(monkeypatch)
     with pytest.raises(OSError):
         run_phase1(build_tiny(seed=6), tiny_ds, sim, enc, out_dir=tmp_path)
     monkeypatch.undo()
