@@ -14,7 +14,7 @@ import difflib
 import logging
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,23 +31,24 @@ from .training import (SimulationConfig, evaluate, monte_carlo_weight_search,
 
 logger = logging.getLogger(__name__)
 
-_NEURON_KEYS = ("C_m", "tau_m", "E_L", "tau_syn_ex", "tau_syn_in", "t_ref",
-                "tau1", "tau2", "alpha1", "alpha2", "omega")
+# key -> field, for every field of each config dataclass
+_SECTIONS = (
+    (NetworkConfig, {("topology_seed" if f.name == "seed" else f.name): f
+                     for f in fields(NetworkConfig)}),
+    (SimulationConfig, {f.name: f for f in fields(SimulationConfig)}),
+    (NeuronParams, {f"neuron_{f.name}": f for f in fields(NeuronParams)}),
+)
 
-# every key a run config may hold (the README config reference)
-CONFIG_KEYS = (
-    "rows", "cols", "n_classes", "neurons_per_class", "feature_fraction",
-    "topology_seed",
-    "w_input_feat", "w_feat_inhib", "w_inhib_feat", "w_feat_readout",
-    "w_readout_lateral", "weight_jitter", "feat_readout_partitioned",
-    "train_readout_lateral",
-    "dt", "window", "epochs_phase1", "epochs_phase2", "checkpoint_interval",
-    "shuffle_seed", "seed", "search_seed",
-    "i_k", "target",
+# keys read where they are used: encoding, weight search, dataset
+_OTHER_KEYS = (
+    "i_k", "target", "search_seed",
     "dataset", "data_dir", "synth_train_per_class", "synth_test_per_class",
     "synth_noise", "synth_seed", "synth_test_seed", "limit_train", "limit_test",
     "limit_classes",
-) + tuple(f"neuron_{k}" for k in _NEURON_KEYS)
+)
+
+# every key a run config may hold (the README config reference)
+CONFIG_KEYS = tuple(k for _, keys in _SECTIONS for k in keys) + _OTHER_KEYS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,12 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _get(cfg: dict[str, str], key: str, cast, default):
-    if key not in cfg:
-        if default is None:
-            raise DataFormatError(f"config is missing required key {key!r}")
-        return default
-    raw = cfg[key]
+def _parse(key: str, raw: str, cast):
     try:
         if cast is bool:
             if raw.lower() in ("true", "1", "yes"):
@@ -75,6 +71,16 @@ def _get(cfg: dict[str, str], key: str, cast, default):
         raise DataFormatError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
+def _get(cfg: dict[str, str], key: str, default):
+    """cfg[key] cast to the type of `default`, or `default` when absent. A
+    None default is an unset optional int (shuffle_seed); blank keeps it unset."""
+    if key not in cfg:
+        return default
+    if default is None:
+        return _parse(key, cfg[key], int) if cfg[key] else None
+    return _parse(key, cfg[key], type(default))
+
+
 def load_run_config(path: str | Path):
     """Build the typed configs from a key=value file; unknown keys are
     rejected, so a misspelt key cannot fall back to its default."""
@@ -84,45 +90,26 @@ def load_run_config(path: str | Path):
             close = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise DataFormatError(f"{path}: unknown config key {key!r}{hint}")
-    net_cfg = NetworkConfig(
-        rows=_get(cfg, "rows", int, 32),
-        cols=_get(cfg, "cols", int, 32),
-        n_classes=_get(cfg, "n_classes", int, 10),
-        neurons_per_class=_get(cfg, "neurons_per_class", int, 10),
-        feature_fraction=_get(cfg, "feature_fraction", float, 0.25),
-        seed=_get(cfg, "topology_seed", int, 0),
-        w_input_feat=_get(cfg, "w_input_feat", float, 600.0),
-        w_feat_inhib=_get(cfg, "w_feat_inhib", float, 490.84),
-        w_inhib_feat=_get(cfg, "w_inhib_feat", float, -100.0),
-        w_feat_readout=_get(cfg, "w_feat_readout", float, 241.0),
-        w_readout_lateral=_get(cfg, "w_readout_lateral", float, -120.0),
-        weight_jitter=_get(cfg, "weight_jitter", float, 0.10),
-        feat_readout_partitioned=_get(cfg, "feat_readout_partitioned", bool, False),
-        train_readout_lateral=_get(cfg, "train_readout_lateral", bool, True),
-    )
-    shuffle = cfg.get("shuffle_seed", "").strip()
-    sim_cfg = SimulationConfig(
-        dt=_get(cfg, "dt", float, 0.1),
-        window=_get(cfg, "window", float, 100.0),
-        epochs_phase1=_get(cfg, "epochs_phase1", int, 5),
-        epochs_phase2=_get(cfg, "epochs_phase2", int, 5),
-        checkpoint_interval=_get(cfg, "checkpoint_interval", int, 500),
-        seed=_get(cfg, "seed", int, 0),
-        shuffle_seed=int(shuffle) if shuffle else None,
-    )
-    overrides = {k: _get(cfg, f"neuron_{k}", float, None)
-                 for k in _NEURON_KEYS if f"neuron_{k}" in cfg}
-    params = NeuronParams(**overrides) if overrides else NeuronParams()
+    net_cfg, sim_cfg, params = (
+        cls(**{f.name: _get(cfg, key, f.default) for key, f in keys.items()})
+        for cls, keys in _SECTIONS)
     return cfg, net_cfg, sim_cfg, params
 
 
-def _encoding_config(cfg: dict[str, str], sim: SimulationConfig) -> EncodingConfig:
+def _encoding_config(cfg: dict[str, str]) -> EncodingConfig:
     if "i_k" not in cfg:
         raise DataFormatError(
             "config has no i_k; run `spikesim calibrate` first")
-    return EncodingConfig(I_K=_get(cfg, "i_k", float, None),
-                          target=_get(cfg, "target", int, 10),
-                          window=sim.window)
+    return EncodingConfig(I_K=_parse("i_k", cfg["i_k"], float),
+                          target=_get(cfg, "target", EncodingConfig.target))
+
+
+def _size(cfg: dict[str, str], key: str) -> int:
+    """A count where 0 means no limit; a negative one would slice from the end."""
+    n = _get(cfg, key, 0)
+    if n < 0:
+        raise DataFormatError(f"config key {key!r} must be non-negative, got {n}")
+    return n
 
 
 def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
@@ -133,8 +120,8 @@ def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
         if not root:
             raise UsageError("cifar10 dataset needs --data or a data_dir config key")
         ds = load_cifar10(root, split=split)
-        limit = _get(cfg, f"limit_{split}", int, 0)
-        classes = _get(cfg, "limit_classes", int, 0)
+        limit = _size(cfg, f"limit_{split}")
+        classes = _size(cfg, "limit_classes")
         if classes:
             ds = Dataset(samples=[s for s in ds.samples if s.label < classes],
                          n_classes=classes,
@@ -144,14 +131,14 @@ def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
                          class_names=ds.class_names)
         return ds
     if kind == "synthetic":
-        per_class = _get(cfg, f"synth_{split}_per_class", int, 50 if split == "train" else 20)
-        seed = _get(cfg, "synth_seed", int, 1)
+        per_class = _get(cfg, f"synth_{split}_per_class", 50 if split == "train" else 20)
+        seed = _get(cfg, "synth_seed", 1)
         if split == "test":
-            seed = _get(cfg, "synth_test_seed", int, seed + 1)
+            seed = _get(cfg, "synth_test_seed", seed + 1)
         return make_synthetic(
             n_classes=net_cfg.n_classes, rows=net_cfg.rows, cols=net_cfg.cols,
             samples_per_class=per_class,
-            noise=_get(cfg, "synth_noise", float, 0.03), seed=seed)
+            noise=_get(cfg, "synth_noise", 0.03), seed=seed)
     raise DataFormatError(f"unknown dataset kind {kind!r}")
 
 
@@ -174,7 +161,7 @@ def _write_manifest(out_dir: Path, cfg: dict[str, str], net_cfg: NetworkConfig,
 
 def cmd_calibrate(args) -> int:
     cfg, net_cfg, sim, params = load_run_config(args.config)
-    target = _get(cfg, "target", int, 10)
+    target = _get(cfg, "target", EncodingConfig.target)
     ik = calibrate_ik(params, window=sim.window, target=target, dt=sim.dt)
     print(f"I_K = {ik:.1f} pA ({target} spikes / {sim.window:g} ms, dt={sim.dt:g})")
     if not args.no_write:
@@ -186,7 +173,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, net_cfg, sim, params = load_run_config(args.config)
-    enc = _encoding_config(cfg, sim)
+    enc = _encoding_config(cfg)
     dataset = resolve_dataset(cfg, net_cfg, "train", args.data)
     net = build_network(net_cfg, params)
     out_dir = Path(args.out)
@@ -219,8 +206,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_search_weights(args) -> int:
+    if args.subset < 0:
+        raise UsageError(f"--subset must be non-negative, got {args.subset}")
     cfg, net_cfg, sim, params = load_run_config(args.config)
-    enc = _encoding_config(cfg, sim)
+    enc = _encoding_config(cfg)
     dataset = resolve_dataset(cfg, net_cfg, "train", args.data)
     subset_n = args.subset if args.subset else min(500, len(dataset))
     subset = Dataset(samples=dataset.samples[:subset_n], n_classes=dataset.n_classes,
@@ -233,7 +222,7 @@ def cmd_search_weights(args) -> int:
                      projections=("input_feat", "feat_inhib", "inhib_feat"))
     result = monte_carlo_weight_search(
         net, (args.lo, args.hi), args.trials, subset, sim, enc,
-        seed=_get(cfg, "search_seed", int, sim.seed))
+        seed=_get(cfg, "search_seed", sim.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ranked = sorted(result.trials, key=lambda t: (-t.accuracy, t.weight))
@@ -251,7 +240,7 @@ def cmd_search_weights(args) -> int:
 
 def cmd_test(args) -> int:
     cfg, net_cfg, sim, params = load_run_config(args.config)
-    enc = _encoding_config(cfg, sim)
+    enc = _encoding_config(cfg)
     dataset = resolve_dataset(cfg, net_cfg, "test", args.data)
     net = build_network(net_cfg, params)
     apply_checkpoint(net, load_checkpoint(args.checkpoint))

@@ -22,19 +22,17 @@ GRID = 0.1  # calibration resolution (pA)
 
 @dataclass(frozen=True)
 class EncodingConfig:
-    """Resolved encoding constants, including the calibrated I_K."""
+    """Resolved encoding constants, including the calibrated I_K; the
+    presentation window is SimulationConfig.window."""
 
     I_K: float              # current for a full-intensity pixel (pA)
     target: int = 10        # spike count defining the max rate
-    window: float = 100.0   # presentation window (ms)
 
     def __post_init__(self) -> None:
         if not self.I_K > 0.0:
             raise ValueError(f"I_K must be positive, got {self.I_K}")
         if self.target < 1:
             raise ValueError(f"target must be >= 1, got {self.target}")
-        if not self.window > 0.0:
-            raise ValueError(f"window must be positive, got {self.window}")
 
 
 def pixel_to_current(p: float, enc: EncodingConfig) -> float:

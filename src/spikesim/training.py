@@ -149,9 +149,6 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     cfg = net.config
     if px.shape != (cfg.rows, cfg.cols):
         raise ValueError(f"image shape {px.shape} != ({cfg.rows}, {cfg.cols})")
-    if abs(enc.window - sim.window) > 1e-9:
-        raise ValueError(
-            f"encoding window {enc.window} != simulation window {sim.window}")
     params = net.params
     dt = sim.dt
     n = net.n_neurons
@@ -249,41 +246,53 @@ def _weight_stats(net: NetworkTopology) -> dict:
     return out
 
 
-class _CheckpointTrail:
-    """Writes interval + final checkpoints and the jsonl run log."""
+def _run_epochs(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
+                phase: int, epochs: int, step, out_dir: str | Path | None,
+                start_presentation: int, end_of_epoch=None) -> PhaseResult:
+    """The epoch protocol shared by both phases.
 
-    def __init__(self, out_dir: Path | None, phase: int, sim: SimulationConfig,
-                 net: NetworkTopology):
-        self.out_dir = out_dir
-        self.phase = phase
-        self.sim = sim
-        self.net = net
-        self.paths: list[Path] = []
-        self.log_lines: list[str] = []
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
+    Runs `step(sample)` on every presentation past `start_presentation`,
+    saves a checkpoint every `checkpoint_interval` presentations and a final
+    one, and writes one JSONL record per epoch; `end_of_epoch(stats)` may add
+    to that record before it is logged.
+    """
+    out = Path(out_dir) if out_dir is not None else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    if len(dataset) == 0:
+        logger.warning("phase %d: empty dataset, nothing to train", phase)
+    paths: list[Path] = []
 
-    def _save(self, counter: int, final: bool) -> None:
-        if self.out_dir is None:
-            return
-        tag = "final" if final else f"{counter:08d}"
-        path = self.out_dir / f"ckpt_phase{self.phase}_{tag}.bin"
-        ckpt = checkpoint_from_network(self.net, self.phase, counter)
-        save_checkpoint(ckpt, path)
-        self.paths.append(path)
+    def save(counter: int, tag: str) -> None:
+        if out is not None:
+            path = out / f"ckpt_phase{phase}_{tag}.bin"
+            save_checkpoint(checkpoint_from_network(net, phase, counter), path)
+            paths.append(path)
 
-    def maybe_save(self, counter: int) -> None:
-        if counter % self.sim.checkpoint_interval == 0:
-            self._save(counter, final=False)
-
-    def finish(self, counter: int) -> None:
-        self._save(counter, final=True)
-        if self.out_dir is not None:
-            log_path = self.out_dir / f"phase{self.phase}_log.jsonl"
-            write_atomic(log_path, "".join(self.log_lines).encode())
-
-    def log(self, record: dict) -> None:
-        self.log_lines.append(json.dumps(record, sort_keys=True) + "\n")
+    counter = 0
+    epoch_stats: list[dict] = []
+    for epoch in range(epochs):
+        for idx in _epoch_order(len(dataset), epoch, sim):
+            counter += 1
+            if counter <= start_presentation:
+                continue
+            step(dataset[int(idx)])
+            if counter % sim.checkpoint_interval == 0:
+                save(counter, f"{counter:08d}")
+        stats = {"event": "epoch", "phase": phase, "epoch": epoch + 1,
+                 "presentations": counter, "weights": _weight_stats(net)}
+        if end_of_epoch is not None:
+            end_of_epoch(stats)
+        epoch_stats.append(stats)
+        logger.info("phase %d epoch %d/%d done (%d presentations)%s",
+                    phase, epoch + 1, epochs, counter,
+                    f" acc={stats['train_accuracy']:.3f}"
+                    if "train_accuracy" in stats else "")
+    save(counter, "final")
+    if out is not None:
+        log = "".join(json.dumps(s, sort_keys=True) + "\n" for s in epoch_stats)
+        write_atomic(out / f"phase{phase}_log.jsonl", log.encode())
+    return PhaseResult(net=net, checkpoints=paths, epoch_stats=epoch_stats)
 
 
 def run_phase1(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
@@ -291,28 +300,10 @@ def run_phase1(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                start_presentation: int = 0) -> PhaseResult:
     """Unsupervised feature training: STDP over epochs of presentations."""
     set_phase1_modes(net)
-    out = Path(out_dir) if out_dir is not None else None
-    trail = _CheckpointTrail(out, 1, sim, net)
-    if len(dataset) == 0:
-        logger.warning("phase 1: empty dataset, nothing to train")
-    counter = 0
-    epoch_stats: list[dict] = []
-    for epoch in range(sim.epochs_phase1):
-        for idx in _epoch_order(len(dataset), epoch, sim):
-            if counter < start_presentation:
-                counter += 1
-                continue
-            present_image(net, dataset[int(idx)], sim, enc, plastic=True)
-            counter += 1
-            trail.maybe_save(counter)
-        stats = {"event": "epoch", "phase": 1, "epoch": epoch + 1,
-                 "presentations": counter, "weights": _weight_stats(net)}
-        epoch_stats.append(stats)
-        trail.log(stats)
-        logger.info("phase 1 epoch %d/%d done (%d presentations)",
-                    epoch + 1, sim.epochs_phase1, counter)
-    trail.finish(counter)
-    return PhaseResult(net=net, checkpoints=trail.paths, epoch_stats=epoch_stats)
+    return _run_epochs(
+        net, dataset, sim, 1, sim.epochs_phase1,
+        lambda sample: present_image(net, sample, sim, enc, plastic=True),
+        out_dir, start_presentation)
 
 
 def _teacher_record(net: NetworkTopology, label: int, sim: SimulationConfig,
@@ -323,6 +314,16 @@ def _teacher_record(net: NetworkTopology, label: int, sim: SimulationConfig,
     times = [train if net.class_of[i] == label else np.empty(0)
              for i in range(net.readout_layer.size)]
     return SpikeRecord(times, sim.window)
+
+
+def _check_labels(net: NetworkTopology, dataset: Dataset) -> None:
+    """Reject labels the readout has no class group for."""
+    labels = dataset.labels()
+    bad = np.flatnonzero(labels >= net.config.n_classes)
+    if bad.size:
+        raise ValueError(
+            f"sample {bad[0]} has label {labels[bad[0]]}, but the network has "
+            f"only {net.config.n_classes} classes")
 
 
 def frozen_eval_net(net: NetworkTopology) -> NetworkTopology:
@@ -337,44 +338,28 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                start_presentation: int = 0,
                eval_each_epoch: bool = True) -> PhaseResult:
     """Supervised readout training against per-class teacher trains."""
+    _check_labels(net, dataset)
     set_phase2_modes(net)
-    out = Path(out_dir) if out_dir is not None else None
-    trail = _CheckpointTrail(out, 2, sim, net)
-    if len(dataset) == 0:
-        logger.warning("phase 2: empty dataset, nothing to train")
     p4 = net.projections["feat_readout"]
     p5 = net.projections["readout_lateral"]
     feat, readout = net.feature_layer, net.readout_layer
-    counter = 0
-    epoch_stats: list[dict] = []
-    for epoch in range(sim.epochs_phase2):
-        for idx in _epoch_order(len(dataset), epoch, sim):
-            if counter < start_presentation:
-                counter += 1
-                continue
-            sample = dataset[int(idx)]
-            record = present_image(net, sample, sim, enc, plastic=False)
-            teacher = _teacher_record(net, sample.label, sim, enc)
-            actual = record.subset(readout.start, readout.stop)
-            pre = record.subset(feat.start, feat.stop)
-            resume_update(p4, teacher, actual, pre, sim.window)
-            if p5.mode == "resume":
-                resume_update(p5, teacher, actual, actual, sim.window)
-            counter += 1
-            trail.maybe_save(counter)
-        stats = {"event": "epoch", "phase": 2, "epoch": epoch + 1,
-                 "presentations": counter, "weights": _weight_stats(net)}
-        if eval_each_epoch and len(dataset):
-            report = evaluate(frozen_eval_net(net), dataset, sim, enc)
-            stats["train_accuracy"] = report.overall
-        epoch_stats.append(stats)
-        trail.log(stats)
-        logger.info("phase 2 epoch %d/%d done (%d presentations)%s",
-                    epoch + 1, sim.epochs_phase2, counter,
-                    f" acc={stats.get('train_accuracy', float('nan')):.3f}"
-                    if "train_accuracy" in stats else "")
-    trail.finish(counter)
-    return PhaseResult(net=net, checkpoints=trail.paths, epoch_stats=epoch_stats)
+
+    def step(sample: ImageSample) -> None:
+        record = present_image(net, sample, sim, enc, plastic=False)
+        teacher = _teacher_record(net, sample.label, sim, enc)
+        actual = record.subset(readout.start, readout.stop)
+        pre = record.subset(feat.start, feat.stop)
+        resume_update(p4, teacher, actual, pre, sim.window)
+        if p5.mode == "resume":
+            resume_update(p5, teacher, actual, actual, sim.window)
+
+    def train_accuracy(stats: dict) -> None:
+        report = evaluate(frozen_eval_net(net), dataset, sim, enc)
+        stats["train_accuracy"] = report.overall
+
+    return _run_epochs(net, dataset, sim, 2, sim.epochs_phase2, step, out_dir,
+                       start_presentation,
+                       train_accuracy if eval_each_epoch and len(dataset) else None)
 
 
 # -- classification and evaluation -------------------------------------------
@@ -404,6 +389,7 @@ def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
     """Accuracy over a dataset: overall, per class, and the class mean +- std."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
+    _check_labels(net, dataset)
     results = [classify(net, sample, sim, enc) for sample in dataset]
     labels = dataset.labels()
     predicted = np.array([r.predicted for r in results], dtype=np.int64)

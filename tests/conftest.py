@@ -43,7 +43,7 @@ def params():
 
 @pytest.fixture
 def enc():
-    return EncodingConfig(I_K=I_K_DEFAULT, target=10, window=100.0)
+    return EncodingConfig(I_K=I_K_DEFAULT, target=10)
 
 
 @pytest.fixture

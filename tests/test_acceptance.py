@@ -194,7 +194,7 @@ def test_c5_topology_counts():
 
 def test_c6_toy_run_reaches_80_percent():
     t0 = time.time()
-    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10, window=WINDOW)
+    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10)
     train = make_synthetic(3, 8, 8, 50, noise=0.03, seed=11)
     test = make_synthetic(3, 8, 8, 20, noise=0.03, seed=12)
     cfg = NetworkConfig(rows=8, cols=8, n_classes=3, neurons_per_class=5, seed=7)
@@ -219,7 +219,7 @@ def test_c7_cifar_subset_smoke():
     if not root:
         pytest.skip("SKIPPED: set SPIKESIM_CIFAR_DIR to the CIFAR-10 binary "
                     "batches to run the smoke test")
-    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10, window=WINDOW)
+    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10)
     full_train = load_cifar10(root, split="train")
     full_test = load_cifar10(root, split="test")
     train = Dataset(samples=[s for s in full_train if s.label < 2][:500],
@@ -241,7 +241,7 @@ def test_c7_cifar_subset_smoke():
 
 
 def test_c8_persistence_and_determinism(tmp_path):
-    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10, window=WINDOW)
+    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10)
     ds = make_synthetic(2, 4, 4, 3, noise=0.03, seed=11)
     cfg = NetworkConfig(rows=4, cols=4, n_classes=2, neurons_per_class=2, seed=5)
 
@@ -280,7 +280,7 @@ def test_c8_persistence_and_determinism(tmp_path):
 
 
 def test_c9_report_shape_ten_classes():
-    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10, window=WINDOW)
+    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10)
     sim = SimulationConfig(seed=5)
     ds = make_synthetic(10, 8, 8, 1, noise=0.03, seed=11)
     net = build_network(NetworkConfig(rows=8, cols=8, n_classes=10,

@@ -4,11 +4,14 @@ config handling, manifests, and exit codes."""
 import numpy as np
 import pytest
 
-from spikesim import NeuronParams
+from spikesim import (NetworkConfig, NeuronParams, SimulationConfig,
+                      build_network, save_checkpoint)
 from spikesim.cli import CONFIG_KEYS, load_run_config, main, resolve_dataset
-from spikesim.dataio import load_checkpoint, read_kv, write_kv
+from spikesim.dataio import (checkpoint_from_network, load_checkpoint, read_kv,
+                             write_kv)
 
 from conftest import I_K_DEFAULT, fail_writes
+from test_dataio import write_cifar_dir
 
 TINY = {
     "dataset": "synthetic",
@@ -91,6 +94,21 @@ def test_every_documented_key_loads(tmp_path):
     assert len(resolve_dataset(cfg, net_cfg, "test", None)) == 2
 
 
+def test_config_with_only_ik_loads_the_defaults(tmp_path):
+    path = tmp_path / "c.cfg"
+    write_kv(path, {"i_k": I_K_DEFAULT})
+    cfg, net_cfg, sim, params = load_run_config(path)
+    assert net_cfg == NetworkConfig()
+    assert sim == SimulationConfig()
+    assert params == NeuronParams()
+
+
+def test_blank_shuffle_seed_is_unset(tmp_path):
+    cfg = write_cfg(tmp_path / "c.cfg", shuffle_seed="")
+    assert read_kv(cfg)["shuffle_seed"] == ""
+    assert load_run_config(cfg)[2].shuffle_seed is None
+
+
 def test_full_flow(tmp_path, cfg_path, capsys):
     out = str(tmp_path / "run")
     assert main(["train", "--phase", "1", "--config", cfg_path, "--out", out]) == 0
@@ -170,3 +188,48 @@ def test_missing_ik_is_config_error(tmp_path):
     cfg = write_cfg(tmp_path / "c.cfg")   # no i_k key
     assert main(["train", "--phase", "1", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def untrained_phase1_checkpoint(cfg, path):
+    _, net_cfg, _, params = load_run_config(cfg)
+    save_checkpoint(checkpoint_from_network(build_network(net_cfg, params), 1, 0), path)
+    return str(path)
+
+
+def cifar_cfg(tmp_path, **extra):
+    """A 32x32 two-class run on fake CIFAR batches labelled 1..5 (test: 7),
+    and a phase-1 checkpoint of its network."""
+    data = tmp_path / "cifar"
+    data.mkdir()
+    write_cifar_dir(data, per_batch=1)
+    cfg = write_cfg(tmp_path / "c.cfg", dataset="cifar10", data_dir=data,
+                    rows=32, cols=32, i_k=I_K_DEFAULT, **extra)
+    return cfg, untrained_phase1_checkpoint(cfg, tmp_path / "p1.bin")
+
+
+def test_labels_beyond_n_classes_exit_2(tmp_path, capsys):
+    cfg, ckpt = cifar_cfg(tmp_path)
+    assert main(["train", "--phase", "2", "--config", cfg,
+                 "--from-checkpoint", ckpt, "--out", str(tmp_path / "o")]) == 2
+    assert "label 2" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "ckpt_phase2_final.bin").exists()
+    assert main(["test", "--config", cfg, "--checkpoint", ckpt]) == 2
+    assert "label 7" in capsys.readouterr().err
+
+
+def test_negative_subset_is_usage_error(tmp_path, cfg_path, capsys):
+    ckpt = untrained_phase1_checkpoint(cfg_path, tmp_path / "p1.bin")
+    assert main(["search-weights", "--config", cfg_path, "--from-checkpoint",
+                 ckpt, "--out", str(tmp_path / "o"), "--trials", "1",
+                 "--subset", "-3"]) == 1
+    assert "--subset" in capsys.readouterr().err
+
+
+def test_negative_limits_are_data_errors(tmp_path, capsys):
+    cfg, ckpt = cifar_cfg(tmp_path, limit_train=-3, limit_test=-1)
+    assert main(["train", "--phase", "1", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "'limit_train'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main(["test", "--config", cfg, "--checkpoint", ckpt]) == 2
+    assert "'limit_test'" in capsys.readouterr().err

@@ -52,7 +52,7 @@ def test_steady_tail_regular_spacing(params):
 
 
 def test_pixel_to_current_linear():
-    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10, window=100.0)
+    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10)
     assert pixel_to_current(0.0, enc) == 0.0
     assert pixel_to_current(1.0, enc) == I_K_DEFAULT
     assert pixel_to_current(0.5, enc) == pytest.approx(0.5 * I_K_DEFAULT)

@@ -130,6 +130,25 @@ def test_resume_equals_uninterrupted(tmp_path, enc, tiny_ds):
     assert same_weights(weights_of(straight), weights_of(resumed))
 
 
+def test_phase2_resume_equals_uninterrupted(tmp_path, enc, tiny_ds):
+    sim = SimulationConfig(seed=5, epochs_phase1=1, epochs_phase2=2,
+                           checkpoint_interval=5)
+    straight = build_tiny()
+    run_phase1(straight, tiny_ds, sim, enc)
+    run_phase2(straight, tiny_ds, sim, enc, out_dir=tmp_path / "a")
+
+    ckpt = load_checkpoint(tmp_path / "a" / "ckpt_phase2_00000005.bin")
+    resumed = build_tiny()
+    apply_checkpoint(resumed, ckpt)
+    run_phase2(resumed, tiny_ds, sim, enc, out_dir=tmp_path / "b",
+               start_presentation=ckpt.presentations)
+    assert same_weights(weights_of(straight), weights_of(resumed))
+    for name in ("ckpt_phase2_00000010.bin", "ckpt_phase2_final.bin"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    assert not (tmp_path / "b" / "ckpt_phase2_00000005.bin").exists()
+
+
 def test_epoch_shuffle_is_stateless(enc, tiny_ds):
     # same shuffle seed -> same epoch orders -> identical training
     sim = SimulationConfig(seed=5, epochs_phase1=2, shuffle_seed=123)
@@ -183,6 +202,18 @@ def test_evaluate_empty_rejected(sim, enc, tiny_ds):
     net = trained_tiny(sim, enc, tiny_ds)
     with pytest.raises(ValueError):
         evaluate(net, Dataset(samples=[], n_classes=2), sim, enc)
+
+
+def test_labels_beyond_the_readout_rejected(sim, enc):
+    # three classes of images on a two-class network: no teacher for label 2
+    ds = make_synthetic(3, 4, 4, samples_per_class=1, noise=0.0, seed=1)
+    net = build_tiny()
+    before = weights_of(net)
+    with pytest.raises(ValueError, match="label 2"):
+        run_phase2(net, ds, sim, enc)
+    assert same_weights(before, weights_of(net))
+    with pytest.raises(ValueError, match="label 2"):
+        evaluate(frozen_eval_net(net), ds, sim, enc)
 
 
 # -- Monte Carlo weight search ---------------------------------------------------------
