@@ -26,8 +26,8 @@ from .encoding import EncodingConfig, calibrate_ik
 from .errors import DataFormatError, NumericError, UsageError
 from .neuron import NeuronParams
 from .topology import PROJECTION_ORDER, NetworkConfig, build_network
-from .training import (SimulationConfig, evaluate, monte_carlo_weight_search,
-                       run_phase1, run_phase2)
+from .training import (SimulationConfig, check_labels, evaluate,
+                       monte_carlo_weight_search, run_phase1, run_phase2)
 
 logger = logging.getLogger(__name__)
 
@@ -145,7 +145,7 @@ def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
 def _write_manifest(out_dir: Path, cfg: dict[str, str], net_cfg: NetworkConfig,
                     sim: SimulationConfig, enc: EncodingConfig,
                     dataset: Dataset, phase: int) -> None:
-    """Resolved run parameters, recorded before training starts."""
+    """Resolved run parameters, recorded after the input checks, before training."""
     out_dir.mkdir(parents=True, exist_ok=True)
     items: dict[str, object] = {"tool_version": __version__, "phase": phase,
                                 "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
@@ -193,6 +193,8 @@ def cmd_train(args) -> int:
         else:
             raise DataFormatError(
                 f"cannot start phase {args.phase} from a phase {ckpt.phase} checkpoint")
+    if args.phase == 2:
+        check_labels(net, dataset)
     _write_manifest(out_dir, cfg, net_cfg, sim, enc, dataset, args.phase)
     if args.phase == 1:
         result = run_phase1(net, dataset, sim, enc, out_dir, start_presentation=start)

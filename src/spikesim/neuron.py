@@ -93,7 +93,6 @@ class NeuronState:
     y1_in: np.ndarray
     y2_in: np.ndarray
     refractory_remaining: np.ndarray    # ms left in refractory, in [0, t_ref]
-    last_spike_time: np.ndarray         # time of last spike (ms), NaN = never
     t: float = 0.0                      # time since last reset (ms)
 
     @property
@@ -105,8 +104,7 @@ class NeuronState:
             V_m=self.V_m.copy(), h1=self.h1.copy(), h2=self.h2.copy(),
             y1_ex=self.y1_ex.copy(), y2_ex=self.y2_ex.copy(),
             y1_in=self.y1_in.copy(), y2_in=self.y2_in.copy(),
-            refractory_remaining=self.refractory_remaining.copy(),
-            last_spike_time=self.last_spike_time.copy(), t=self.t,
+            refractory_remaining=self.refractory_remaining.copy(), t=self.t,
         )
 
 
@@ -119,7 +117,6 @@ def new_state(n: int, params: NeuronParams) -> NeuronState:
         V_m=np.full(n, params.E_L, dtype=np.float64),
         h1=z(), h2=z(), y1_ex=z(), y2_ex=z(), y1_in=z(), y2_in=z(),
         refractory_remaining=z(),
-        last_spike_time=np.full(n, np.nan, dtype=np.float64),
     )
 
 
@@ -132,7 +129,6 @@ def reset_state(state: NeuronState, params: NeuronParams) -> NeuronState:
     for arr in (state.h1, state.h2, state.y1_ex, state.y2_ex,
                 state.y1_in, state.y2_in, state.refractory_remaining):
         arr.fill(0.0)
-    state.last_spike_time.fill(np.nan)
     state.t = 0.0
     return state
 
@@ -286,6 +282,5 @@ def step_neuron(state: NeuronState, params: NeuronParams, I_ext, dt: float,
         h1[spiked] += params.alpha1
         h2[spiked] += params.alpha2
         r[spiked] = params.t_ref
-        state.last_spike_time[spiked] = state.t
     state.t += dt
     return state, spiked

@@ -1,13 +1,13 @@
 """Synapse populations and the two weight-update rules.
 
 Phase 1 uses pair-based additive STDP with all-to-all spike interaction,
-implemented through exponential eligibility traces: every pre spike depresses
-its synapses in proportion to the post trace and then bumps the pre trace;
-every post spike potentiates in proportion to the pre trace and then bumps the
-post trace. Updates are scaled by W_max and clipped to the allowed band after
-every event. For coincident pre/post spikes in the same step the pre event is
-processed first, so the pair contributes potentiation (never sees itself as
-depression).
+implemented through exponential eligibility traces, one per neuron and owned
+by the caller: every pre spike depresses its synapses in proportion to the
+post neurons' traces, every post spike potentiates in proportion to the pre
+neurons' traces; the events change only the weights. Updates are scaled by
+W_max and clipped to the allowed band after every event. A pre event reads
+the traces before this step's spikes bump them and a post event after, so a
+coincident pair contributes potentiation (never depression).
 
 Phase 2 uses a supervised rule driven by a teacher spike train: at the end of
 a presentation each synapse receives
@@ -107,14 +107,12 @@ class SynapsePopulation:
     per-connection order is the checkpoint layout.
 
     `plasticity` is None for a static projection, StdpParams or ResumeParams
-    otherwise. Traces exist only in stdp mode.
+    otherwise.
     """
 
     def __init__(self, name: str, pre_index, post_index, weight, sign: str,
                  n_pre: int, n_post: int,
-                 plasticity: StdpParams | ResumeParams | None = None,
-                 pre_trace: np.ndarray | None = None,
-                 post_trace: np.ndarray | None = None) -> None:
+                 plasticity: StdpParams | ResumeParams | None = None) -> None:
         if sign not in SIGNS:
             raise ValueError(f"unknown synapse sign {sign!r}")
         self.name = name
@@ -140,10 +138,6 @@ class SynapsePopulation:
         self._off = None if connected.all() else ~connected
         self.W = np.zeros((self.n_pre, self.n_post), dtype=np.float64)
         self.weight = weight
-        self.pre_trace = (np.zeros(self.n_pre, dtype=np.float64)
-                          if pre_trace is None else pre_trace)
-        self.post_trace = (np.zeros(self.n_post, dtype=np.float64)
-                           if post_trace is None else post_trace)
 
     def __repr__(self) -> str:
         return (f"SynapsePopulation(name={self.name!r}, sign={self.sign!r}, "
@@ -248,7 +242,7 @@ class SynapsePopulation:
 
     def copy(self) -> "SynapsePopulation":
         new = copy.copy(self)
-        for attr in ("pre_index", "post_index", "W", "pre_trace", "post_trace"):
+        for attr in ("pre_index", "post_index", "W"):
             setattr(new, attr, getattr(self, attr).copy())
         return new
 
@@ -272,48 +266,55 @@ def _require_stdp(pop: SynapsePopulation) -> StdpParams:
     return pop.plasticity  # type: ignore[return-value]
 
 
-def decay_traces(pop: SynapsePopulation, dt: float) -> SynapsePopulation:
-    """Advance all eligibility traces by dt ms (multiplicative decay)."""
+def decay_traces(trace: np.ndarray, dt: float, tau_trace: float) -> np.ndarray:
+    """Advance eligibility traces by dt ms (multiplicative decay, in place)."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if pop.mode == "stdp":
-        f = math.exp(-dt / pop.plasticity.tau_trace)  # type: ignore[union-attr]
-        pop.pre_trace *= f
-        pop.post_trace *= f
-    return pop
+    trace *= math.exp(-dt / tau_trace)
+    return trace
 
 
-def stdp_on_pre(pop: SynapsePopulation, pre_neuron) -> SynapsePopulation:
-    """Apply the pre-spike event: depress from the post trace, bump pre trace.
+def _check_trace(pop: SynapsePopulation, trace: np.ndarray, n: int) -> None:
+    if np.shape(trace) != (n,):
+        raise ValueError(f"{pop.name}: expected a trace of {n} neurons, "
+                         f"got shape {np.shape(trace)}")
 
-    `pre_neuron` may be an int or an array of distinct ids spiking this step;
-    each one's row of W moves by the same post-trace vector. Traces must
-    already be decayed to the current step.
+
+def stdp_on_pre(pop: SynapsePopulation, pre_neuron,
+                trace: np.ndarray) -> SynapsePopulation:
+    """Apply the pre-spike event: depress each spiking pre neuron's row of W
+    by `trace`, the post neurons' traces.
+
+    `pre_neuron` may be an int or an array of distinct ids spiking this step.
+    The traces must already be decayed to the current step and not yet
+    bumped by this step's spikes.
     """
     p = _require_stdp(pop)
     ids = np.atleast_1d(np.asarray(pre_neuron, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= pop.n_pre):
         raise IndexError(f"{pop.name}: pre id out of range")
+    _check_trace(pop, trace, pop.n_post)
     if ids.size:
-        step = p.A_minus * p.W_max * pop.post_trace
+        step = p.A_minus * p.W_max * trace
         # depression shrinks |w|
         pop._add_to_rows(ids, -step if pop.sign == "excitatory" else step)
-    pop.pre_trace[ids] += 1.0
     return pop
 
 
-def stdp_on_post(pop: SynapsePopulation, post_neuron) -> SynapsePopulation:
-    """Apply the post-spike event: potentiate from the pre trace, bump post
-    trace. Each spiking post neuron's column of W moves by the pre trace."""
+def stdp_on_post(pop: SynapsePopulation, post_neuron,
+                 trace: np.ndarray) -> SynapsePopulation:
+    """Apply the post-spike event: potentiate each spiking post neuron's
+    column of W by `trace`, the pre neurons' traces, which must already
+    include this step's pre spikes (so coincident pairs potentiate)."""
     p = _require_stdp(pop)
     ids = np.atleast_1d(np.asarray(post_neuron, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= pop.n_post):
         raise IndexError(f"{pop.name}: post id out of range")
+    _check_trace(pop, trace, pop.n_pre)
     if ids.size:
-        step = p.A_plus * p.W_max * pop.pre_trace
+        step = p.A_plus * p.W_max * trace
         # potentiation grows |w|
         pop._add_to_cols(ids, step if pop.sign == "excitatory" else -step)
-    pop.post_trace[ids] += 1.0
     return pop
 
 
@@ -397,6 +398,4 @@ def resume_update(pop: SynapsePopulation, teacher_spikes: SpikeRecord,
 def freeze(pop: SynapsePopulation) -> SynapsePopulation:
     """Make the projection static, preserving weights bit-exactly. Idempotent."""
     pop.plasticity = None
-    pop.pre_trace.fill(0.0)
-    pop.post_trace.fill(0.0)
     return pop

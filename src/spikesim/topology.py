@@ -56,9 +56,6 @@ class Layer:
     def size(self) -> int:
         return self.stop - self.start
 
-    def local(self, global_ids: np.ndarray) -> np.ndarray:
-        return np.asarray(global_ids) - self.start
-
 
 @dataclass(frozen=True)
 class NetworkConfig:

@@ -3,8 +3,8 @@
 A presentation runs one image for `window` ms in steps of `dt`: the input
 layer receives the encoded DC currents, spikes propagate through every
 projection with a one-step synaptic delay, and (in phase 1) STDP events fire
-online as spikes happen. All neuron state and all eligibility traces are
-cleared at the start of every presentation, so presentations are independent
+online as spikes happen. Neuron state and the eligibility traces (one per
+neuron) live only inside a presentation, so presentations are independent
 and checkpoints at presentation boundaries are exact resume points.
 
 Phase 1 trains input->feature, feature->inhib, and inhib->feature with STDP
@@ -33,10 +33,9 @@ from .dataio import (Dataset, ImageSample, checkpoint_from_network, save_checkpo
                      write_atomic)
 from .encoding import EncodingConfig, encode_image
 from .neuron import new_state, step_neuron, deliver_spike
-from .plasticity import (SynapsePopulation, decay_traces, excitatory_resume,
-                         excitatory_stdp, freeze, inhibitory_resume,
-                         inhibitory_stdp, resume_update, stdp_on_post,
-                         stdp_on_pre)
+from .plasticity import (decay_traces, excitatory_resume, excitatory_stdp,
+                         freeze, inhibitory_resume, inhibitory_stdp,
+                         resume_update, stdp_on_post, stdp_on_pre)
 from .records import SpikeRecord
 from .topology import NetworkTopology, teacher_train
 
@@ -127,12 +126,6 @@ class SearchResult:
 # -- the presentation engine -------------------------------------------------
 
 
-def _clear_traces(net: NetworkTopology) -> None:
-    for pop in net.projections.values():
-        pop.pre_trace.fill(0.0)
-        pop.post_trace.fill(0.0)
-
-
 def _pixels_of(img) -> np.ndarray:
     return img.pixels if isinstance(img, ImageSample) else np.asarray(img, dtype=np.float64)
 
@@ -143,7 +136,7 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
 
     With plastic=True the STDP projections update online; the supervised rule
     is a batch update owned by run_phase2 (it needs the label). Neuron state
-    and traces are reset on entry, so back-to-back calls are independent.
+    and traces are created on entry, so back-to-back calls are independent.
     """
     px = _pixels_of(img)
     cfg = net.config
@@ -153,16 +146,25 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     dt = sim.dt
     n = net.n_neurons
 
+    # (projection, pre layer, post layer) in delivery order, and those that
+    # learn by STDP in this presentation
+    proj_info = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
+    learning = [info for info in proj_info if plastic and info[0].mode == "stdp"]
+    taus = {pop.plasticity.tau_trace for pop, *_ in learning}
+    if len(taus) > 1:
+        raise ValueError("STDP projections must share one tau_trace, got " + ", ".join(
+            f"{pop.name}={pop.plasticity.tau_trace}" for pop, *_ in learning))
+    tau = taus.pop() if taus else None
+
     I_ext = np.zeros(n, dtype=np.float64)
     I_ext[net.input_layer.start:net.input_layer.stop] = encode_image(px, enc)
 
     state = new_state(n, params)
-    _clear_traces(net)
-
-    # (projection, pre layer, post layer, learns by STDP in this presentation)
-    proj_info = [(pop, *net.wiring[pop.name], plastic and pop.mode == "stdp")
-                 for pop in net.ordered_projections()]
-    stdp_pops = [pop for pop, *_, learns in proj_info if learns]
+    # one eligibility trace per neuron; each layer's slice is a view into it
+    trace = np.zeros(n, dtype=np.float64)
+    layers = net.layers
+    trace_of = {layer.name: trace[layer.start:layer.stop] for layer in layers}
+    edges = np.array([layer.start for layer in layers] + [n])
 
     pend_ex = np.zeros(n, dtype=np.float64)
     pend_in = np.zeros(n, dtype=np.float64)
@@ -177,23 +179,28 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
             pend_in.fill(0.0)
 
         state, spiked = step_neuron(state, params, I_ext, dt, validate=(k == 0))
-        # each projection's traces are touched only by its own events, so
-        # decaying them all before any event equals decaying each just before
-        # its own
-        for pop in stdp_pops:
-            decay_traces(pop, dt)
+        if learning:
+            decay_traces(trace, dt, tau)
         if not spiked.any():
             continue
-        events.append((k, np.flatnonzero(spiked)))
-
-        for pop, pre_layer, post_layer, learns in proj_info:
-            pre_local = np.flatnonzero(spiked[pre_layer.start:pre_layer.stop])
-            if learns:
-                post_local = np.flatnonzero(spiked[post_layer.start:post_layer.stop])
-                if pre_local.size:
-                    stdp_on_pre(pop, pre_local)
-                if post_local.size:
-                    stdp_on_post(pop, post_local)
+        ids = np.flatnonzero(spiked)
+        events.append((k, ids))
+        cut = np.searchsorted(ids, edges)
+        # spiking ids per layer, local to it (a name hashes faster than a Layer)
+        local = {layer.name: ids[lo:hi] - layer.start
+                 for layer, lo, hi in zip(layers, cut, cut[1:])}
+        # pre events read the post traces before this step's spikes bump
+        # them, post events the pre traces after: coincident pairs potentiate
+        for pop, pre_layer, post_layer in learning:
+            if local[pre_layer.name].size:
+                stdp_on_pre(pop, local[pre_layer.name], trace_of[post_layer.name])
+        if learning:
+            trace[ids] += 1.0
+        for pop, pre_layer, post_layer in learning:
+            if local[post_layer.name].size:
+                stdp_on_post(pop, local[post_layer.name], trace_of[pre_layer.name])
+        for pop, pre_layer, post_layer in proj_info:
+            pre_local = local[pre_layer.name]
             if pre_local.size:
                 # queue deliveries for the next step (one-step delay), using
                 # the weights as updated by this step's plasticity events
@@ -213,7 +220,6 @@ def set_phase1_modes(net: NetworkTopology) -> NetworkTopology:
     net.projections["inhib_feat"].plasticity = inhibitory_stdp()
     freeze(net.projections["feat_readout"])
     freeze(net.projections["readout_lateral"])
-    _clear_traces(net)
     return net
 
 
@@ -316,7 +322,7 @@ def _teacher_record(net: NetworkTopology, label: int, sim: SimulationConfig,
     return SpikeRecord(times, sim.window)
 
 
-def _check_labels(net: NetworkTopology, dataset: Dataset) -> None:
+def check_labels(net: NetworkTopology, dataset: Dataset) -> None:
     """Reject labels the readout has no class group for."""
     labels = dataset.labels()
     bad = np.flatnonzero(labels >= net.config.n_classes)
@@ -338,7 +344,7 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                start_presentation: int = 0,
                eval_each_epoch: bool = True) -> PhaseResult:
     """Supervised readout training against per-class teacher trains."""
-    _check_labels(net, dataset)
+    check_labels(net, dataset)
     set_phase2_modes(net)
     p4 = net.projections["feat_readout"]
     p5 = net.projections["readout_lateral"]
@@ -389,7 +395,7 @@ def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
     """Accuracy over a dataset: overall, per class, and the class mean +- std."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    _check_labels(net, dataset)
+    check_labels(net, dataset)
     results = [classify(net, sample, sim, enc) for sample in dataset]
     labels = dataset.labels()
     predicted = np.array([r.predicted for r in results], dtype=np.int64)

@@ -4,7 +4,8 @@
 Criteria (tolerances pinned):
   c1  neuron analytic oracle, 1e-9 mV over 100 ms at dt=0.1
   c2  encoding endpoints: p=1.0 -> exactly 10 spikes, p=0.0 -> 0, monotone
-  c3  STDP trace updates equal the all-pairs double sum, 1e-9 pA, clipped
+  c3  STDP trace updates equal the all-pairs double sum, 1e-9 pA, clipped;
+      also inside one engine presentation, for every STDP connection
   c4  ReSuMe: exact zero on identical trains, closed-form pair to 1e-12, signs
   c5  topology counts for the default and 50 random configs
   c6  end-to-end toy run reaches >= 80% test accuracy in < 5 minutes
@@ -23,8 +24,8 @@ import pytest
 from spikesim import (Dataset, EncodingConfig, NetworkConfig, NeuronParams,
                       SimulationConfig, SpikeRecord, StdpParams,
                       SynapsePopulation, build_network, evaluate,
-                      load_checkpoint, new_state, run_phase1, run_phase2,
-                      save_checkpoint, step_neuron)
+                      load_checkpoint, new_state, present_image, run_phase1,
+                      run_phase2, save_checkpoint, step_neuron)
 from spikesim.dataio import (apply_checkpoint, checkpoint_from_network,
                              load_cifar10, make_synthetic)
 from spikesim.encoding import spikes_under_constant_current
@@ -32,7 +33,8 @@ from spikesim.plasticity import (decay_traces, excitatory_resume,
                                  excitatory_stdp, inhibitory_resume,
                                  inhibitory_stdp, resume_update, stdp_on_pre,
                                  stdp_on_post)
-from spikesim.training import frozen_eval_net, monte_carlo_weight_search
+from spikesim.training import (frozen_eval_net, monte_carlo_weight_search,
+                               set_phase1_modes)
 
 I_K_DEFAULT = 797.4  # calibrated drive: 10 spikes in 100 ms at dt=0.1
 DT = 0.1
@@ -81,14 +83,17 @@ def test_c3_stdp_matches_all_pairs_double_sum():
                                 n_pre=1, n_post=1, plasticity=plast)
         pre_set = set(np.unique(rng.integers(0, n_steps, size=rng.integers(0, 101))).tolist())
         post_set = set(np.unique(rng.integers(0, n_steps, size=rng.integers(0, 101))).tolist())
+        trace = np.zeros(2)  # the pre and the post neuron's trace
         prev = 0
         for k in sorted(pre_set | post_set):
             if k > prev:
-                decay_traces(pop, (k - prev) * DT)
+                decay_traces(trace, (k - prev) * DT, plast.tau_trace)
             if k in pre_set:  # pre before post: coincident pairs potentiate
-                stdp_on_pre(pop, 0)
+                stdp_on_pre(pop, 0, trace[1:])
+                trace[0] += 1.0
             if k in post_set:
-                stdp_on_post(pop, 0)
+                stdp_on_post(pop, 0, trace[:1])
+                trace[1] += 1.0
             prev = k
         tp = np.array(sorted(pre_set), dtype=np.float64) * DT
         tq = np.array(sorted(post_set), dtype=np.float64) * DT
@@ -109,12 +114,52 @@ def test_c3_stdp_matches_all_pairs_double_sum():
                             post_index=np.array([0]),
                             weight=np.array([1100.0]), sign="excitatory",
                             n_pre=1, n_post=1, plasticity=hot)
+    trace = np.zeros(2)
     for k in range(10):
-        decay_traces(pop, DT)
-        stdp_on_pre(pop, 0)
-        stdp_on_post(pop, 0)
+        decay_traces(trace, DT, hot.tau_trace)
+        stdp_on_pre(pop, 0, trace[1:])
+        trace[0] += 1.0
+        stdp_on_post(pop, 0, trace[:1])
+        trace[1] += 1.0
         assert 0.0 <= pop.weight[0] <= 1200.0
     assert pop.weight[0] == 1200.0
+
+
+def test_c3_engine_stdp_matches_all_pairs_double_sum():
+    # one plastic presentation: every STDP connection's weight change equals
+    # the double sum over the record's pre and post spikes, so within a step
+    # every projection's pre events see the post traces before the step's
+    # spikes and its post events the pre traces after them
+    net = build_network(NetworkConfig(rows=4, cols=4, n_classes=2,
+                                      neurons_per_class=2, seed=5,
+                                      w_feat_inhib=800.0))
+    set_phase1_modes(net)
+    stdp = ("input_feat", "feat_inhib", "inhib_feat")
+    before = {name: net.projections[name].weight.copy() for name in stdp}
+    img = np.random.default_rng(0).uniform(0.3, 1.0, size=(4, 4))
+    record = present_image(net, img, SimulationConfig(dt=DT, window=WINDOW),
+                           EncodingConfig(I_K=I_K_DEFAULT, target=10), plastic=True)
+    for name in stdp:
+        pop = net.projections[name]
+        plast = pop.plasticity
+        pre_layer, post_layer = net.wiring[name]
+        pot = np.zeros(pop.n_connections)
+        dep = np.zeros(pop.n_connections)
+        for c, (i, j) in enumerate(zip(pop.pre_index, pop.post_index)):
+            tp = record.times[pre_layer.start + i]
+            tq = record.times[post_layer.start + j]
+            d = tq[None, :] - tp[:, None]
+            pot[c] = np.sum(np.where(d >= 0.0, np.exp(-d / plast.tau_trace), 0.0))
+            dep[c] = np.sum(np.where(d < 0.0, np.exp(d / plast.tau_trace), 0.0))
+        assert pot.any() and dep.any(), f"{name}: both pair orders must occur"
+        gain = plast.A_plus * plast.W_max * pot      # |w| grows by at most this
+        loss = plast.A_minus * plast.W_max * dep     # and shrinks by at most this
+        sign = 1.0 if pop.sign == "excitatory" else -1.0
+        magnitude = sign * before[name]
+        assert np.all(magnitude - loss > plast.W_min), "no event may clip"
+        assert np.all(magnitude + gain < plast.W_max), "no event may clip"
+        expected = before[name] + sign * (gain - loss)
+        assert np.max(np.abs(pop.weight - expected)) < 1e-9
 
 
 def test_c4_resume_properties():

@@ -213,6 +213,7 @@ def test_labels_beyond_n_classes_exit_2(tmp_path, capsys):
                  "--from-checkpoint", ckpt, "--out", str(tmp_path / "o")]) == 2
     assert "label 2" in capsys.readouterr().err
     assert not (tmp_path / "o" / "ckpt_phase2_final.bin").exists()
+    assert not (tmp_path / "o" / "manifest_phase2.txt").exists()
     assert main(["test", "--config", cfg, "--checkpoint", ckpt]) == 2
     assert "label 7" in capsys.readouterr().err
 

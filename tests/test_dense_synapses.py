@@ -179,8 +179,8 @@ def test_stdp_events_equal_connection_updates(rule, sign, w_min):
         w = pop.weight.copy()
         for _ in range(30):
             # random traces, so that updates drive weights into both bounds
-            pop.pre_trace[:] = rng.uniform(0.0, 5.0, size=pop.n_pre)
-            pop.post_trace[:] = rng.uniform(0.0, 5.0, size=pop.n_post)
+            pre_trace = rng.uniform(0.0, 5.0, size=pop.n_pre)
+            post_trace = rng.uniform(0.0, 5.0, size=pop.n_post)
             # every neuron at once (a volley: the in-place path of a post
             # event) or a random subset
             n_pre = pop.n_pre if rng.random() < 0.3 else int(rng.integers(1, pop.n_pre + 1))
@@ -188,11 +188,12 @@ def test_stdp_events_equal_connection_updates(rule, sign, w_min):
             pre_ids = np.sort(rng.choice(pop.n_pre, size=n_pre, replace=False))
             post_ids = np.sort(rng.choice(pop.n_post, size=n_post, replace=False))
             if rng.random() < 0.7:
-                ref_stdp_on_pre(pop, w, pop.post_trace.copy(), pre_ids)
-                stdp_on_pre(pop, pre_ids)
+                ref_stdp_on_pre(pop, w, post_trace.copy(), pre_ids)
+                stdp_on_pre(pop, pre_ids, post_trace)
+                pre_trace[pre_ids] += 1.0
             if rng.random() < 0.5:
-                ref_stdp_on_post(pop, w, pop.pre_trace.copy(), post_ids)
-                stdp_on_post(pop, post_ids)
+                ref_stdp_on_post(pop, w, pre_trace.copy(), post_ids)
+                stdp_on_post(pop, post_ids, pre_trace)
             assert np.array_equal(pop.weight, w)
             assert_masked(pop)
         lo, hi = pop._bounds()

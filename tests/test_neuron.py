@@ -131,7 +131,6 @@ def test_spike_jumps_and_refractory(params):
     assert state.h1[0] == pytest.approx(params.alpha1)
     assert state.h2[0] == pytest.approx(params.alpha2)
     assert state.refractory_remaining[0] == pytest.approx(params.t_ref)
-    assert state.last_spike_time[0] == pytest.approx(fired_at * dt)
 
 
 def test_membrane_not_reset_on_spike(params):
@@ -239,7 +238,6 @@ def test_reset_state(params):
     assert state.V_m[0] == params.E_L
     assert threshold_at(state, params)[0] == pytest.approx(-51.0)
     assert state.refractory_remaining[0] == 0.0
-    assert np.isnan(state.last_spike_time[0])
     again = reset_state(state, params)
     assert np.array_equal(again.V_m, state.V_m)
     # silent forever after reset with no input

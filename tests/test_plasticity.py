@@ -10,6 +10,7 @@ from spikesim.plasticity import (StdpParams, ResumeParams, decay_traces,
                                  inhibitory_resume, inhibitory_stdp,
                                  resume_update, resume_window, stdp_on_pre,
                                  stdp_on_post)
+from spikesim.topology import connect
 
 DT = 0.1
 
@@ -26,19 +27,29 @@ def random_train_steps(rng, max_spikes, n_steps):
     return np.unique(rng.integers(0, n_steps, size=k))
 
 
+def pair_step(pop, trace, pre, post):
+    """One step of a 1-to-1 pair in the engine's order; `trace` holds the
+    [pre, post] neuron traces. The pre event reads the post trace before the
+    step's bumps, the post event the pre trace after them."""
+    if pre:
+        stdp_on_pre(pop, 0, trace[1:])
+    trace += [float(pre), float(post)]
+    if post:
+        stdp_on_post(pop, 0, trace[:1])
+
+
 def replay_trace_stdp(pop, pre_steps, post_steps):
     """Drive the event API exactly as the simulator does, in step order."""
     events = sorted(set(pre_steps) | set(post_steps))
+    tau = pop.plasticity.tau_trace
+    trace = np.zeros(2)
     prev = None
     for k in events:
         if prev is not None:
-            decay_traces(pop, (k - prev) * DT)
+            decay_traces(trace, (k - prev) * DT, tau)
         elif k > 0:
-            decay_traces(pop, k * DT)
-        if k in set(pre_steps):
-            stdp_on_pre(pop, 0)
-        if k in set(post_steps):
-            stdp_on_post(pop, 0)
+            decay_traces(trace, k * DT, tau)
+        pair_step(pop, trace, k in set(pre_steps), k in set(post_steps))
         prev = k
     return pop
 
@@ -80,45 +91,44 @@ def test_stdp_equals_all_pairs_double_sum():
 def test_coincident_pair_potentiates():
     # same-step pre and post: pre first, so the pair lands at delta t = 0
     pop = make_pair("excitatory", 600.0, excitatory_stdp())
-    stdp_on_pre(pop, 0)
-    stdp_on_post(pop, 0)
+    pair_step(pop, np.zeros(2), True, True)
     p = pop.plasticity
     assert pop.weight[0] == pytest.approx(600.0 + p.A_plus * p.W_max, abs=1e-12)
 
 
 def test_post_before_pre_depresses():
     pop = make_pair("excitatory", 600.0, excitatory_stdp())
-    stdp_on_post(pop, 0)
-    decay_traces(pop, 5.0)
-    stdp_on_pre(pop, 0)
     p = pop.plasticity
+    trace = np.zeros(2)
+    pair_step(pop, trace, False, True)
+    decay_traces(trace, 5.0, p.tau_trace)
+    pair_step(pop, trace, True, False)
     expected = 600.0 - p.A_minus * p.W_max * np.exp(-5.0 / p.tau_trace)
     assert pop.weight[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_inhibitory_potentiation_grows_magnitude():
     pop = make_pair("inhibitory", -100.0, inhibitory_stdp())
-    stdp_on_pre(pop, 0)
-    stdp_on_post(pop, 0)
+    pair_step(pop, np.zeros(2), True, True)
     assert pop.weight[0] < -100.0
 
 
 def test_clipping_saturates_at_bounds():
     hot = StdpParams(A_plus=0.9, A_minus=0.0, tau_trace=10.0, W_max=1200.0)
     pop = make_pair("excitatory", 1100.0, hot)
+    trace = np.zeros(2)
     for k in range(10):
-        decay_traces(pop, DT)
-        stdp_on_pre(pop, 0)
-        stdp_on_post(pop, 0)
+        decay_traces(trace, DT, hot.tau_trace)
+        pair_step(pop, trace, True, True)
         assert 0.0 <= pop.weight[0] <= 1200.0
     assert pop.weight[0] == 1200.0
 
     pop = make_pair("inhibitory", -1100.0, StdpParams(
         A_plus=0.9, A_minus=0.0, tau_trace=10.0, W_max=1200.0))
+    trace = np.zeros(2)
     for k in range(10):
-        decay_traces(pop, DT)
-        stdp_on_pre(pop, 0)
-        stdp_on_post(pop, 0)
+        decay_traces(trace, DT, pop.plasticity.tau_trace)
+        pair_step(pop, trace, True, True)
         assert -1200.0 <= pop.weight[0] <= 0.0
     assert pop.weight[0] == -1200.0
 
@@ -135,7 +145,7 @@ def test_table_parameter_factories():
 def test_stdp_requires_stdp_mode():
     pop = make_pair("excitatory", 600.0, None)
     with pytest.raises(ValueError):
-        stdp_on_pre(pop, 0)
+        stdp_on_pre(pop, 0, np.zeros(1))
 
 
 # -- ReSuMe -------------------------------------------------------------------
@@ -233,13 +243,11 @@ def test_resume_requires_resume_mode():
 
 def test_freeze_preserves_weights_and_is_idempotent():
     pop = make_pair("excitatory", 600.0, excitatory_stdp())
-    stdp_on_pre(pop, 0)
-    stdp_on_post(pop, 0)
+    pair_step(pop, np.zeros(2), True, True)
     w = pop.weight.copy()
     freeze(pop)
     assert pop.mode == "static"
     assert np.array_equal(pop.weight, w)
-    assert not pop.pre_trace.any() and not pop.post_trace.any()
     freeze(pop)
     assert np.array_equal(pop.weight, w)
 
@@ -258,6 +266,23 @@ def test_population_sign_validation():
 def test_stdp_ids_out_of_range_rejected():
     pop = make_pair("excitatory", 600.0, excitatory_stdp())
     with pytest.raises(IndexError):
-        stdp_on_pre(pop, 3)
+        stdp_on_pre(pop, 3, np.zeros(1))
     with pytest.raises(IndexError):
-        stdp_on_post(pop, -1)
+        stdp_on_post(pop, -1, np.zeros(1))
+
+
+def test_stdp_trace_of_wrong_length_rejected():
+    # a pre event reads one trace per post neuron, a post event one per pre
+    pre, post = connect("all_to_all", 2, 3)
+    pop = SynapsePopulation(name="p", pre_index=pre, post_index=post,
+                            weight=np.full(6, 600.0), sign="excitatory",
+                            n_pre=2, n_post=3, plasticity=excitatory_stdp())
+    for bad in (np.ones(2), np.ones(4), np.ones((1, 3)), np.ones(())):
+        with pytest.raises(ValueError, match="trace"):
+            stdp_on_pre(pop, 0, bad)
+    for bad in (np.ones(3), np.ones(1), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="trace"):
+            stdp_on_post(pop, 0, bad)
+    assert np.array_equal(pop.weight, np.full(6, 600.0))
+    stdp_on_pre(pop, [0, 1], np.ones(3))
+    stdp_on_post(pop, [0, 1, 2], np.ones(2))

@@ -5,7 +5,7 @@ search."""
 import numpy as np
 import pytest
 
-from spikesim import (EncodingConfig, NetworkConfig, SimulationConfig,
+from spikesim import (EncodingConfig, NetworkConfig, SimulationConfig, StdpParams,
                       build_network, classify, evaluate, load_checkpoint,
                       present_image, run_phase1, run_phase2)
 from spikesim.dataio import apply_checkpoint, make_synthetic
@@ -60,6 +60,19 @@ def test_plastic_presentation_changes_only_stdp_weights(tiny_net, sim, enc, tiny
     assert not np.array_equal(before["input_feat"], after["input_feat"])
     assert np.array_equal(before["feat_readout"], after["feat_readout"])
     assert np.array_equal(before["readout_lateral"], after["readout_lateral"])
+
+
+def test_stdp_projections_must_share_tau_trace(tiny_net, sim, enc, tiny_ds):
+    # one trace per neuron serves every STDP projection, so they share one
+    # time constant
+    set_phase1_modes(tiny_net)
+    tiny_net.projections["feat_inhib"].plasticity = StdpParams(tau_trace=20.0)
+    before = weights_of(tiny_net)
+    with pytest.raises(ValueError, match=r"tau_trace.*feat_inhib=20\.0"):
+        present_image(tiny_net, tiny_ds[0], sim, enc, plastic=True)
+    assert same_weights(before, weights_of(tiny_net))
+    # a frozen presentation reads no trace
+    present_image(tiny_net, tiny_ds[0], sim, enc)
 
 
 def test_image_shape_must_match_network(tiny_net, sim, enc):
