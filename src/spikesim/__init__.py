@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .encoding import EncodingConfig, calibrate_ik, encode_image, pixel_to_current
 from .errors import DataFormatError, NumericError, UsageError
-from .neuron import NeuronParams, NeuronState, deliver_spike, new_state, \
-    reset_state, step_neuron, threshold_at
+from .neuron import (NeuronParams, NeuronState, deliver_spike, new_state,
+                     step_neuron, threshold_at)
 from .plasticity import (ResumeParams, StdpParams, SynapsePopulation,
                          decay_traces, freeze, resume_update, resume_window,
                          stdp_on_post, stdp_on_pre)
@@ -27,7 +27,7 @@ from .training import (ClassificationResult, EvaluationReport, SearchResult,
 
 __all__ = [
     "__version__",
-    "NeuronParams", "NeuronState", "new_state", "reset_state", "step_neuron",
+    "NeuronParams", "NeuronState", "new_state", "step_neuron",
     "threshold_at", "deliver_spike",
     "StdpParams", "ResumeParams", "SynapsePopulation", "stdp_on_pre",
     "stdp_on_post", "decay_traces", "resume_window", "resume_update", "freeze",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (Dataset, apply_checkpoint, load_cifar10, load_checkpoint,
-                     make_synthetic, read_kv, write_atomic, write_kv)
+                     make_synthetic, read_kv, set_kv, write_atomic, write_kv)
 from .encoding import EncodingConfig, calibrate_ik
 from .errors import DataFormatError, NumericError, UsageError
 from .neuron import NeuronParams
@@ -165,8 +165,7 @@ def cmd_calibrate(args) -> int:
     ik = calibrate_ik(params, window=sim.window, target=target, dt=sim.dt)
     print(f"I_K = {ik:.1f} pA ({target} spikes / {sim.window:g} ms, dt={sim.dt:g})")
     if not args.no_write:
-        cfg["i_k"] = f"{ik:.1f}"
-        write_kv(args.config, cfg)
+        set_kv(args.config, "i_k", f"{ik:.1f}")
         logger.info("wrote i_k back to %s", args.config)
     return 0
 
@@ -235,8 +234,7 @@ def cmd_search_weights(args) -> int:
         print(f"trial: weight={t.weight:.3f} accuracy={t.accuracy:.4f}")
     print(f"best initial weight: {result.best_weight:.3f}")
     if args.write:
-        cfg["w_feat_readout"] = f"{result.best_weight!r}"
-        write_kv(args.config, cfg)
+        set_kv(args.config, "w_feat_readout", f"{result.best_weight!r}")
     return 0
 
 

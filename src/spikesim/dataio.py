@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import struct
 from dataclasses import dataclass
@@ -333,8 +334,10 @@ def apply_checkpoint(net: NetworkTopology, ckpt: Checkpoint,
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
-    """Parse a flat key=value file; '#' starts a comment, blanks ignored."""
+    """Parse a flat key=value file; '#' starts a comment, blanks ignored,
+    a repeated key is an error."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -345,8 +348,23 @@ def read_kv(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise DataFormatError(f"{path}:{ln}: empty key")
+        if key in line_of:
+            raise DataFormatError(
+                f"{path}:{ln}: duplicate key {key!r} (first set on line {line_of[key]})")
+        line_of[key] = ln
         out[key] = value.strip()
     return out
+
+
+def set_kv(path: str | Path, key: str, value: object) -> None:
+    """Set one key of a key=value file atomically, rewriting its line (inline
+    comment kept) or appending one; every other line stays byte-identical."""
+    text = Path(path).read_bytes().decode()
+    line = re.compile(rf"^[ \t]*{re.escape(key)}[ \t]*=[^#\r\n]*?([ \t]*(#[^\r\n]*)?\r?)$", re.M)
+    text, found = line.subn(lambda m: f"{key} = {value}{m.group(1)}", text)
+    if not found:
+        text += ("\n" if text and not text.endswith("\n") else "") + f"{key} = {value}\n"
+    write_atomic(path, text.encode())
 
 
 def write_kv(path: str | Path, items: dict[str, object]) -> None:

@@ -93,19 +93,11 @@ class NeuronState:
     y1_in: np.ndarray
     y2_in: np.ndarray
     refractory_remaining: np.ndarray    # ms left in refractory, in [0, t_ref]
-    t: float = 0.0                      # time since last reset (ms)
+    t: float = 0.0                      # time since new_state (ms)
 
     @property
     def n(self) -> int:
         return self.V_m.shape[0]
-
-    def copy(self) -> "NeuronState":
-        return NeuronState(
-            V_m=self.V_m.copy(), h1=self.h1.copy(), h2=self.h2.copy(),
-            y1_ex=self.y1_ex.copy(), y2_ex=self.y2_ex.copy(),
-            y1_in=self.y1_in.copy(), y2_in=self.y2_in.copy(),
-            refractory_remaining=self.refractory_remaining.copy(), t=self.t,
-        )
 
 
 def new_state(n: int, params: NeuronParams) -> NeuronState:
@@ -118,19 +110,6 @@ def new_state(n: int, params: NeuronParams) -> NeuronState:
         h1=z(), h2=z(), y1_ex=z(), y2_ex=z(), y1_in=z(), y2_in=z(),
         refractory_remaining=z(),
     )
-
-
-def reset_state(state: NeuronState, params: NeuronParams) -> NeuronState:
-    """Return the population to rest: V = E_L, empty channels, no history.
-
-    Idempotent; values are set exactly (bit-reproducible across calls).
-    """
-    state.V_m.fill(params.E_L)
-    for arr in (state.h1, state.h2, state.y1_ex, state.y2_ex,
-                state.y1_in, state.y2_in, state.refractory_remaining):
-        arr.fill(0.0)
-    state.t = 0.0
-    return state
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,10 @@ class SynapsePopulation:
         self.n_pre = int(n_pre)
         self.n_post = int(n_post)
         self.plasticity = plasticity
-        self.pre_index = np.asarray(pre_index, dtype=np.int64)
-        self.post_index = np.asarray(post_index, dtype=np.int64)
+        self.pre_index = np.array(pre_index, dtype=np.int64)
+        self.post_index = np.array(post_index, dtype=np.int64)
+        for index in (self.pre_index, self.post_index):  # shared by copies
+            index.flags.writeable = False
         if not (self.pre_index.ndim == 1
                 and self.pre_index.shape == self.post_index.shape == np.shape(weight)):
             raise ValueError("connection arrays must have identical 1-D shapes")
@@ -241,9 +243,9 @@ class SynapsePopulation:
         return _grouped(self.post_index, self.n_post, post_ids)
 
     def copy(self) -> "SynapsePopulation":
+        """An independent projection: its own W, shared connection arrays."""
         new = copy.copy(self)
-        for attr in ("pre_index", "post_index", "W"):
-            setattr(new, attr, getattr(self, attr).copy())
+        new.W = self.W.copy()
         return new
 
 

@@ -254,13 +254,13 @@ def _weight_stats(net: NetworkTopology) -> dict:
 
 def _run_epochs(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                 phase: int, epochs: int, step, out_dir: str | Path | None,
-                start_presentation: int, end_of_epoch=None) -> PhaseResult:
+                start_presentation: int) -> PhaseResult:
     """The epoch protocol shared by both phases.
 
     Runs `step(sample)` on every presentation past `start_presentation`,
     saves a checkpoint every `checkpoint_interval` presentations and a final
-    one, and writes one JSONL record per epoch; `end_of_epoch(stats)` may add
-    to that record before it is logged.
+    one, and writes one JSONL record per epoch. Steps that return a bool
+    (phase 2: sample classified correctly) add their mean as `train_accuracy`.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -278,22 +278,23 @@ def _run_epochs(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
     counter = 0
     epoch_stats: list[dict] = []
     for epoch in range(epochs):
+        correct: list[bool] = []
         for idx in _epoch_order(len(dataset), epoch, sim):
             counter += 1
             if counter <= start_presentation:
                 continue
-            step(dataset[int(idx)])
+            if (hit := step(dataset[int(idx)])) is not None:
+                correct.append(hit)
             if counter % sim.checkpoint_interval == 0:
                 save(counter, f"{counter:08d}")
         stats = {"event": "epoch", "phase": phase, "epoch": epoch + 1,
                  "presentations": counter, "weights": _weight_stats(net)}
-        if end_of_epoch is not None:
-            end_of_epoch(stats)
+        if correct:
+            stats["train_accuracy"] = float(np.mean(correct))
         epoch_stats.append(stats)
         logger.info("phase %d epoch %d/%d done (%d presentations)%s",
                     phase, epoch + 1, epochs, counter,
-                    f" acc={stats['train_accuracy']:.3f}"
-                    if "train_accuracy" in stats else "")
+                    f" acc={stats['train_accuracy']:.3f}" if correct else "")
     save(counter, "final")
     if out is not None:
         log = "".join(json.dumps(s, sort_keys=True) + "\n" for s in epoch_stats)
@@ -306,10 +307,12 @@ def run_phase1(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                start_presentation: int = 0) -> PhaseResult:
     """Unsupervised feature training: STDP over epochs of presentations."""
     set_phase1_modes(net)
-    return _run_epochs(
-        net, dataset, sim, 1, sim.epochs_phase1,
-        lambda sample: present_image(net, sample, sim, enc, plastic=True),
-        out_dir, start_presentation)
+
+    def step(sample: ImageSample) -> None:
+        present_image(net, sample, sim, enc, plastic=True)
+
+    return _run_epochs(net, dataset, sim, 1, sim.epochs_phase1, step, out_dir,
+                       start_presentation)
 
 
 def _teacher_record(net: NetworkTopology, label: int, sim: SimulationConfig,
@@ -341,34 +344,40 @@ def frozen_eval_net(net: NetworkTopology) -> NetworkTopology:
 
 def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                enc: EncodingConfig, out_dir: str | Path | None = None,
-               start_presentation: int = 0,
-               eval_each_epoch: bool = True) -> PhaseResult:
-    """Supervised readout training against per-class teacher trains."""
+               start_presentation: int = 0) -> PhaseResult:
+    """Supervised readout training against per-class teacher trains; each
+    presentation is classified before its update (the epoch's train_accuracy)."""
     check_labels(net, dataset)
     set_phase2_modes(net)
     p4 = net.projections["feat_readout"]
     p5 = net.projections["readout_lateral"]
     feat, readout = net.feature_layer, net.readout_layer
 
-    def step(sample: ImageSample) -> None:
+    def step(sample: ImageSample) -> bool:
+        # frozen presentations ignore modes: classify() on a frozen copy agrees
         record = present_image(net, sample, sim, enc, plastic=False)
         teacher = _teacher_record(net, sample.label, sim, enc)
         actual = record.subset(readout.start, readout.stop)
+        predicted, _, _ = _predict(net, actual.counts())
         pre = record.subset(feat.start, feat.stop)
         resume_update(p4, teacher, actual, pre, sim.window)
         if p5.mode == "resume":
             resume_update(p5, teacher, actual, actual, sim.window)
-
-    def train_accuracy(stats: dict) -> None:
-        report = evaluate(frozen_eval_net(net), dataset, sim, enc)
-        stats["train_accuracy"] = report.overall
+        return predicted == sample.label
 
     return _run_epochs(net, dataset, sim, 2, sim.epochs_phase2, step, out_dir,
-                       start_presentation,
-                       train_accuracy if eval_each_epoch and len(dataset) else None)
+                       start_presentation)
 
 
 # -- classification and evaluation -------------------------------------------
+
+
+def _predict(net: NetworkTopology, counts: np.ndarray) -> tuple[int, np.ndarray, bool]:
+    """Winner-takes-all over the readout spike counts summed per class:
+    (predicted class, class counts, tie), a tie going to the lowest index."""
+    class_counts = np.bincount(net.class_of, weights=counts, minlength=net.config.n_classes)
+    winners = np.flatnonzero(class_counts == class_counts.max())
+    return int(winners[0]), class_counts, winners.size > 1
 
 
 def classify(net: NetworkTopology, img, sim: SimulationConfig,
@@ -380,14 +389,8 @@ def classify(net: NetworkTopology, img, sim: SimulationConfig,
                 f"classification needs static projections, {pop.name} is {pop.mode}")
     record = present_image(net, img, sim, enc, plastic=False)
     counts = record.subset(net.readout_layer.start, net.readout_layer.stop).counts()
-    class_counts = np.bincount(net.class_of, weights=counts.astype(np.float64),
-                               minlength=net.config.n_classes)
-    best = class_counts.max()
-    winners = np.flatnonzero(class_counts == best)
-    return ClassificationResult(predicted=int(winners[0]),
-                                class_counts=class_counts,
-                                neuron_counts=counts,
-                                tie=winners.size > 1)
+    predicted, class_counts, tie = _predict(net, counts)
+    return ClassificationResult(predicted, class_counts, counts, tie)
 
 
 def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
@@ -445,8 +448,7 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
     for i, w in enumerate(weights):
         candidate = net.copy()
         candidate.projections["feat_readout"].weight = w
-        run_phase2(candidate, eval_subset, sim_one, enc, out_dir=None,
-                   eval_each_epoch=False)
+        run_phase2(candidate, eval_subset, sim_one, enc, out_dir=None)
         report = evaluate(frozen_eval_net(candidate), eval_subset, sim, enc)
         results.append(Trial(weight=float(w), accuracy=report.overall))
         logger.info("weight search trial %d/%d: w=%.3f acc=%.4f",

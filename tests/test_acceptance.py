@@ -252,7 +252,7 @@ def test_c6_toy_run_reaches_80_percent():
     search = monte_carlo_weight_search(net, (80.0, 560.0), 5, train, sim, enc,
                                        seed=3)
     net.projections["feat_readout"].weight = search.best_weight
-    run_phase2(net, train, sim, enc, eval_each_epoch=False)
+    run_phase2(net, train, sim, enc)
     report = evaluate(frozen_eval_net(net), test, sim, enc)
     elapsed = time.time() - t0
     assert report.overall >= 0.80, f"toy accuracy {report.overall:.3f} < 0.80"
@@ -280,7 +280,7 @@ def test_c7_cifar_subset_smoke():
                                        Dataset(samples=train.samples[:100],
                                                n_classes=2), sim, enc, seed=3)
     net.projections["feat_readout"].weight = search.best_weight
-    run_phase2(net, train, sim, enc, eval_each_epoch=False)
+    run_phase2(net, train, sim, enc)
     report = evaluate(frozen_eval_net(net), test, sim, enc)
     assert report.overall > 0.60, f"CIFAR smoke accuracy {report.overall:.3f}"
 

@@ -58,6 +58,52 @@ def test_failed_calibrate_write_keeps_config(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+def test_duplicate_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"i_k = {I_K_DEFAULT}\nepochs_phase1 = 5\nepochs_phase1 = 1\n")
+    assert main(["train", "--phase", "1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate key 'epochs_phase1'" in err and "line 2" in err and ":3:" in err
+    assert not (tmp_path / "o").exists()
+
+
+# the README's toy.cfg layout: a title comment, inline comments, a blank line
+COMMENTED_CFG = """# toy.cfg
+rows = 4
+cols = 4   # input grid
+n_classes = 2
+neurons_per_class = 2
+
+topology_seed = 5  # wiring
+synth_train_per_class = 2
+"""
+
+
+def test_config_rewrites_keep_every_other_line(tmp_path):
+    path = tmp_path / "toy.cfg"
+    path.write_text(COMMENTED_CFG)
+    assert main(["calibrate", "--config", str(path)]) == 0
+    assert path.read_text() == COMMENTED_CFG + f"i_k = {I_K_DEFAULT}\n"
+
+    net = build_network(load_run_config(path)[1])
+    ckpt = tmp_path / "p1.bin"
+    save_checkpoint(checkpoint_from_network(net, 1, 0), ckpt)
+    assert main(["search-weights", "--config", str(path), "--from-checkpoint",
+                 str(ckpt), "--out", str(tmp_path / "o"), "--trials", "1",
+                 "--write"]) == 0
+    w = read_kv(path)["w_feat_readout"]
+    assert path.read_text() == COMMENTED_CFG + f"i_k = {I_K_DEFAULT}\nw_feat_readout = {w}\n"
+
+    # a key already present is rewritten in place, its comment kept
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-2] = "i_k = 1.0  # calibrated\n"
+    path.write_text("".join(lines))
+    assert main(["calibrate", "--config", str(path)]) == 0
+    lines[-2] = f"i_k = {I_K_DEFAULT}  # calibrated\n"
+    assert path.read_text() == "".join(lines)
+
+
 def test_unknown_config_key_names_the_closest(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, epoch_phase1=3)
     assert main(["train", "--phase", "1", "--config", cfg,

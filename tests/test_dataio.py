@@ -12,7 +12,7 @@ from spikesim import (Dataset, ImageSample, NetworkConfig, build_network,
 from spikesim.dataio import (CHECKPOINT_VERSION, TEMPLATE_LEVELS,
                              apply_checkpoint, checkpoint_from_network,
                              class_templates, grayscale, load_cifar10,
-                             make_synthetic, read_kv, write_kv)
+                             make_synthetic, read_kv, set_kv, write_kv)
 from spikesim.errors import DataFormatError
 from spikesim.topology import PROJECTION_ORDER
 
@@ -306,3 +306,24 @@ def test_kv_rejects_malformed_line(tmp_path):
     path.write_text("rows 8\n")
     with pytest.raises(DataFormatError):
         read_kv(path)
+
+
+def test_kv_rejects_duplicate_key(tmp_path):
+    # a repeated key is a mistake, not an override
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs_phase1 = 5\nrows = 8\nepochs_phase1 = 1\n")
+    with pytest.raises(DataFormatError,
+                       match=r"run\.cfg:3: duplicate key 'epochs_phase1' \(first set on line 1\)"):
+        read_kv(path)
+
+
+def test_set_kv_rewrites_only_its_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"# toy.cfg\nrows = 8   # grid\n\ni_k = 1.0  # old\r\ncols=8")
+    set_kv(path, "i_k", "797.4")
+    assert path.read_bytes() == b"# toy.cfg\nrows = 8   # grid\n\ni_k = 797.4  # old\r\ncols=8"
+    set_kv(path, "w_feat_readout", 250.5)
+    assert path.read_bytes() == (b"# toy.cfg\nrows = 8   # grid\n\ni_k = 797.4  # old\r\n"
+                                 b"cols=8\nw_feat_readout = 250.5\n")
+    assert read_kv(path) == {"rows": "8", "i_k": "797.4", "cols": "8",
+                             "w_feat_readout": "250.5"}

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spikesim import NeuronParams, new_state, reset_state, step_neuron
+from spikesim import NeuronParams, new_state, step_neuron
 from spikesim.neuron import deliver_spike, propagators, threshold_at
 
 from conftest import I_K_DEFAULT
@@ -190,10 +190,10 @@ def test_coincident_spikes_superpose(params):
 
 def test_zero_weight_is_noop(params):
     state = new_state(1, params)
-    before = state.copy()
+    y1_ex, y2_ex = state.y1_ex.copy(), state.y2_ex.copy()
     deliver_spike(state, np.zeros(1), "excitatory", params)
-    assert np.array_equal(state.y1_ex, before.y1_ex)
-    assert np.array_equal(state.y2_ex, before.y2_ex)
+    assert np.array_equal(state.y1_ex, y1_ex)
+    assert np.array_equal(state.y2_ex, y2_ex)
 
 
 def test_sign_contract(params):
@@ -228,22 +228,7 @@ def test_degenerate_tau_syn_equal_tau_m():
         assert np.isfinite(state.V_m[0])
 
 
-# -- reset and validation ------------------------------------------------------
-
-
-def test_reset_state(params):
-    state, spikes = run_constant_current(params, 900.0, 50.0, 0.1)
-    assert spikes[0]
-    state = reset_state(state, params)
-    assert state.V_m[0] == params.E_L
-    assert threshold_at(state, params)[0] == pytest.approx(-51.0)
-    assert state.refractory_remaining[0] == 0.0
-    again = reset_state(state, params)
-    assert np.array_equal(again.V_m, state.V_m)
-    # silent forever after reset with no input
-    for _ in range(2000):
-        state, fired = step_neuron(state, params, np.zeros(1), 0.1)
-        assert not fired.any()
+# -- validation ------------------------------------------------------------------
 
 
 def test_nonfinite_input_rejected(params):

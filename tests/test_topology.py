@@ -4,7 +4,7 @@ weight initialization bands, and the structural fingerprint."""
 import numpy as np
 import pytest
 
-from spikesim import NetworkConfig, NeuronParams, build_network
+from spikesim import NetworkConfig, NeuronParams, SynapsePopulation, build_network
 from spikesim.topology import PROJECTION_ORDER, connect, teacher_train
 
 
@@ -161,3 +161,22 @@ def test_wiring_table_names_each_projections_layers():
         pop = net.projections[name]
         assert (pop.n_pre, pop.n_post) == (pre.size, post.size)
     assert net.copy().wiring == net.wiring
+
+
+def test_copy_owns_its_weights_and_shares_read_only_connections():
+    net = build_network(NetworkConfig(rows=4, cols=4, n_classes=2, neurons_per_class=2))
+    twin = net.copy()
+    for name, pop in net.projections.items():
+        other = twin.projections[name]
+        assert other.pre_index is pop.pre_index and other.post_index is pop.post_index
+        assert not (pop.pre_index.flags.writeable or pop.post_index.flags.writeable)
+        assert other.W is not pop.W
+    before = net.projections["input_feat"].weight
+    twin.projections["input_feat"].weight = 1.0
+    assert np.array_equal(net.projections["input_feat"].weight, before)
+    # the projection keeps its own copy of the caller's connection arrays
+    pre, post = connect("all_to_all", 2, 2)
+    pop = SynapsePopulation(name="p", pre_index=pre, post_index=post,
+                            weight=np.ones(4), sign="excitatory", n_pre=2, n_post=2)
+    pre[0] = 1
+    assert pop.pre_index[0] == 0

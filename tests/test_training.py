@@ -2,12 +2,16 @@
 checkpoint cadence and resume, atomic saves, classification, and the weight
 search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from spikesim import (EncodingConfig, NetworkConfig, SimulationConfig, StdpParams,
-                      build_network, classify, evaluate, load_checkpoint,
-                      present_image, run_phase1, run_phase2)
+from spikesim import (Dataset, EncodingConfig, ImageSample, NetworkConfig,
+                      SimulationConfig, StdpParams, build_network, classify,
+                      evaluate, load_checkpoint, present_image, run_phase1,
+                      run_phase2)
+from spikesim import training
 from spikesim.dataio import apply_checkpoint, make_synthetic
 from spikesim.topology import PROJECTION_ORDER
 from spikesim.training import (frozen_eval_net, monte_carlo_weight_search,
@@ -95,7 +99,7 @@ def test_phase2_freezes_lower_projections(sim, enc, tiny_ds):
     net = build_tiny()
     run_phase1(net, tiny_ds, sim, enc)
     lower = {k: weights_of(net)[k] for k in ("input_feat", "feat_inhib", "inhib_feat")}
-    run_phase2(net, tiny_ds, sim, enc, eval_each_epoch=False)
+    run_phase2(net, tiny_ds, sim, enc)
     after = weights_of(net)
     for k, w in lower.items():
         assert np.array_equal(after[k], w), f"{k} must stay frozen in phase 2"
@@ -162,6 +166,69 @@ def test_phase2_resume_equals_uninterrupted(tmp_path, enc, tiny_ds):
     assert not (tmp_path / "b" / "ckpt_phase2_00000005.bin").exists()
 
 
+def test_phase2_presents_each_sample_once_per_epoch(monkeypatch, enc, tiny_ds):
+    # the training presentations score themselves: no evaluation pass
+    sim = SimulationConfig(seed=5, epochs_phase1=1, epochs_phase2=2)
+    net = build_tiny()
+    run_phase1(net, tiny_ds, sim, enc)
+    calls = {"present_image": 0, "evaluate": 0}
+
+    def counted(name):
+        real = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(training, name, counted(name))
+    res = run_phase2(net, tiny_ds, sim, enc)
+    assert calls == {"present_image": len(tiny_ds) * 2, "evaluate": 0}
+    assert all("train_accuracy" in s for s in res.epoch_stats)
+
+    # a resume logs accuracy only for the presentations it runs
+    calls.update(present_image=0)
+    res = run_phase2(net, tiny_ds, sim, enc, start_presentation=len(tiny_ds))
+    assert calls == {"present_image": len(tiny_ds), "evaluate": 0}
+    assert ["train_accuracy" in s for s in res.epoch_stats] == [False, True]
+
+
+def banded_ds():
+    """Bright column bands (left half class 0, right half class 1) on a dim
+    background: unlike the sparse synthetic templates, they make the tiny
+    network's readout fire."""
+    rng = np.random.default_rng(1)
+    samples = []
+    for i in range(6):
+        px = rng.uniform(0.0, 0.3, (4, 4))
+        px[:, 2 * (i % 2):2 * (i % 2) + 2] = rng.uniform(0.7, 1.0, (4, 2))
+        samples.append(ImageSample(pixels=px, label=i % 2, source_id=f"band:{i}"))
+    return Dataset(samples=samples, n_classes=2)
+
+
+def test_phase2_train_accuracy_equals_classify_replay(enc):
+    # each presentation is scored as classify() scores the weights it meets
+    ds = banded_ds()
+    sim = SimulationConfig(seed=5, epochs_phase1=1, epochs_phase2=3)
+    net = build_tiny()
+    run_phase1(net, ds, sim, enc)
+    replay = net.copy()
+    logged = [s["train_accuracy"] for s in run_phase2(net, ds, sim, enc).epoch_stats]
+
+    one = replace(sim, epochs_phase2=1)
+    expected = []
+    for _ in range(sim.epochs_phase2):
+        hits = []
+        for s in ds:
+            hits.append(classify(frozen_eval_net(replay), s, sim, enc).predicted == s.label)
+            run_phase2(replay, Dataset(samples=[s], n_classes=2), one, enc)
+        expected.append(float(np.mean(hits)))
+    assert logged == expected
+    assert len(set(expected)) > 1, "the accuracy must move for the check to bite"
+    assert same_weights(weights_of(net), weights_of(replay))
+
+
 def test_epoch_shuffle_is_stateless(enc, tiny_ds):
     # same shuffle seed -> same epoch orders -> identical training
     sim = SimulationConfig(seed=5, epochs_phase1=2, shuffle_seed=123)
@@ -177,7 +244,7 @@ def test_epoch_shuffle_is_stateless(enc, tiny_ds):
 def trained_tiny(sim, enc, ds):
     net = build_tiny()
     run_phase1(net, ds, sim, enc)
-    run_phase2(net, ds, sim, enc, eval_each_epoch=False)
+    run_phase2(net, ds, sim, enc)
     return frozen_eval_net(net)
 
 
