@@ -114,32 +114,34 @@ def _size(cfg: dict[str, str], key: str) -> int:
 
 def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
                     data_dir: str | None) -> Dataset:
+    """The split's dataset, cut to `limit_classes` and then `limit_<split>`."""
     kind = cfg.get("dataset", "synthetic")
     if kind == "cifar10":
         root = data_dir or cfg.get("data_dir")
         if not root:
             raise UsageError("cifar10 dataset needs --data or a data_dir config key")
         ds = load_cifar10(root, split=split)
-        limit = _size(cfg, f"limit_{split}")
-        classes = _size(cfg, "limit_classes")
-        if classes:
-            ds = Dataset(samples=[s for s in ds.samples if s.label < classes],
-                         n_classes=classes,
-                         class_names=ds.class_names[:classes])
-        if limit:
-            ds = Dataset(samples=ds.samples[:limit], n_classes=ds.n_classes,
-                         class_names=ds.class_names)
-        return ds
-    if kind == "synthetic":
+    elif kind == "synthetic":
         per_class = _get(cfg, f"synth_{split}_per_class", 50 if split == "train" else 20)
         seed = _get(cfg, "synth_seed", 1)
         if split == "test":
             seed = _get(cfg, "synth_test_seed", seed + 1)
-        return make_synthetic(
+        ds = make_synthetic(
             n_classes=net_cfg.n_classes, rows=net_cfg.rows, cols=net_cfg.cols,
             samples_per_class=per_class,
             noise=_get(cfg, "synth_noise", 0.03), seed=seed)
-    raise DataFormatError(f"unknown dataset kind {kind!r}")
+    else:
+        raise DataFormatError(f"unknown dataset kind {kind!r}")
+    limit = _size(cfg, f"limit_{split}")
+    classes = _size(cfg, "limit_classes")
+    if classes:
+        ds = Dataset(samples=[s for s in ds.samples if s.label < classes],
+                     n_classes=classes,
+                     class_names=ds.class_names[:classes])
+    if limit:
+        ds = Dataset(samples=ds.samples[:limit], n_classes=ds.n_classes,
+                     class_names=ds.class_names)
+    return ds
 
 
 def _write_manifest(out_dir: Path, cfg: dict[str, str], net_cfg: NetworkConfig,
@@ -209,6 +211,10 @@ def cmd_train(args) -> int:
 def cmd_search_weights(args) -> int:
     if args.subset < 0:
         raise UsageError(f"--subset must be non-negative, got {args.subset}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if not (np.isfinite(args.lo) and np.isfinite(args.hi) and 0.0 <= args.lo <= args.hi):
+        raise UsageError(f"need finite 0 <= --lo <= --hi, got --lo {args.lo} --hi {args.hi}")
     cfg, net_cfg, sim, params = load_run_config(args.config)
     enc = _encoding_config(cfg)
     dataset = resolve_dataset(cfg, net_cfg, "train", args.data)

@@ -29,8 +29,8 @@ class EncodingConfig:
     target: int = 10        # spike count defining the max rate
 
     def __post_init__(self) -> None:
-        if not self.I_K > 0.0:
-            raise ValueError(f"I_K must be positive, got {self.I_K}")
+        if not (self.I_K > 0.0 and np.isfinite(self.I_K)):
+            raise ValueError(f"I_K must be positive and finite, got {self.I_K}")
         if self.target < 1:
             raise ValueError(f"target must be >= 1, got {self.target}")
 

@@ -41,6 +41,9 @@ from .records import SpikeRecord
 
 SIGNS = ("excitatory", "inhibitory")
 
+# time constant (ms) of the one eligibility trace per neuron that all STDP reads
+TAU_TRACE = 10.0
+
 
 @dataclass(frozen=True)
 class StdpParams:
@@ -48,15 +51,12 @@ class StdpParams:
 
     A_plus: float = 0.001       # potentiation rate per causal pair
     A_minus: float = 0.0005     # depression rate per anti-causal pair
-    tau_trace: float = 10.0     # trace time constant (ms), pre and post alike
     W_max: float = 1200.0
     W_min: float = 0.0
 
     def __post_init__(self) -> None:
         if self.A_plus < 0.0 or self.A_minus < 0.0:
             raise ValueError("STDP rates must be non-negative")
-        if not self.tau_trace > 0.0:
-            raise ValueError("tau_trace must be positive")
         if not (0.0 <= self.W_min <= self.W_max):
             raise ValueError("need 0 <= W_min <= W_max")
 
@@ -79,12 +79,12 @@ class ResumeParams:
 
 def excitatory_stdp() -> StdpParams:
     """Default excitatory STDP parameter set."""
-    return StdpParams(A_plus=0.001, A_minus=0.0005, tau_trace=10.0, W_max=1200.0)
+    return StdpParams(A_plus=0.001, A_minus=0.0005, W_max=1200.0)
 
 
 def inhibitory_stdp() -> StdpParams:
     """Default inhibitory STDP parameter set (magnitudes; sign via projection)."""
-    return StdpParams(A_plus=0.001, A_minus=0.0005, tau_trace=10.0, W_max=1200.0)
+    return StdpParams(A_plus=0.001, A_minus=0.0005, W_max=1200.0)
 
 
 def excitatory_resume() -> ResumeParams:
@@ -268,11 +268,11 @@ def _require_stdp(pop: SynapsePopulation) -> StdpParams:
     return pop.plasticity  # type: ignore[return-value]
 
 
-def decay_traces(trace: np.ndarray, dt: float, tau_trace: float) -> np.ndarray:
-    """Advance eligibility traces by dt ms (multiplicative decay, in place)."""
+def decay_traces(trace: np.ndarray, dt: float) -> np.ndarray:
+    """Advance eligibility traces by dt ms: trace *= exp(-dt / TAU_TRACE)."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    trace *= math.exp(-dt / tau_trace)
+    trace *= math.exp(-dt / TAU_TRACE)
     return trace
 
 

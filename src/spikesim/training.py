@@ -33,7 +33,7 @@ from .dataio import (Dataset, ImageSample, checkpoint_from_network, save_checkpo
                      write_atomic)
 from .encoding import EncodingConfig, encode_image
 from .neuron import new_state, step_neuron, deliver_spike
-from .plasticity import (decay_traces, excitatory_resume, excitatory_stdp,
+from .plasticity import (SIGNS, decay_traces, excitatory_resume, excitatory_stdp,
                          freeze, inhibitory_resume, inhibitory_stdp,
                          resume_update, stdp_on_post, stdp_on_pre)
 from .records import SpikeRecord
@@ -150,11 +150,6 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     # learn by STDP in this presentation
     proj_info = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
     learning = [info for info in proj_info if plastic and info[0].mode == "stdp"]
-    taus = {pop.plasticity.tau_trace for pop, *_ in learning}
-    if len(taus) > 1:
-        raise ValueError("STDP projections must share one tau_trace, got " + ", ".join(
-            f"{pop.name}={pop.plasticity.tau_trace}" for pop, *_ in learning))
-    tau = taus.pop() if taus else None
 
     I_ext = np.zeros(n, dtype=np.float64)
     I_ext[net.input_layer.start:net.input_layer.stop] = encode_image(px, enc)
@@ -165,22 +160,17 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     layers = net.layers
     trace_of = {layer.name: trace[layer.start:layer.stop] for layer in layers}
     edges = np.array([layer.start for layer in layers] + [n])
-
-    pend_ex = np.zeros(n, dtype=np.float64)
-    pend_in = np.zeros(n, dtype=np.float64)
+    # a spiking step's input per synapse sign, each projection adding into its
+    # post layer's slice; delivered as the step ends, integrated from the next
+    drive = {sign: np.zeros(n, dtype=np.float64) for sign in SIGNS}
+    targets = [(pop, pre_layer.name, drive[pop.sign][post_layer.start:post_layer.stop])
+               for pop, pre_layer, post_layer in proj_info]
     events: list[tuple[int, np.ndarray]] = []
 
     for k in range(sim.n_steps):
-        if pend_ex.any():
-            deliver_spike(state, pend_ex, "excitatory", params)
-            pend_ex.fill(0.0)
-        if pend_in.any():
-            deliver_spike(state, pend_in, "inhibitory", params)
-            pend_in.fill(0.0)
-
         state, spiked = step_neuron(state, params, I_ext, dt, validate=(k == 0))
         if learning:
-            decay_traces(trace, dt, tau)
+            decay_traces(trace, dt)
         if not spiked.any():
             continue
         ids = np.flatnonzero(spiked)
@@ -199,13 +189,14 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
         for pop, pre_layer, post_layer in learning:
             if local[post_layer.name].size:
                 stdp_on_post(pop, local[post_layer.name], trace_of[pre_layer.name])
-        for pop, pre_layer, post_layer in proj_info:
-            pre_local = local[pre_layer.name]
-            if pre_local.size:
-                # queue deliveries for the next step (one-step delay), using
-                # the weights as updated by this step's plasticity events
-                pend = pend_ex if pop.sign == "excitatory" else pend_in
-                pend[post_layer.start:post_layer.stop] += pop.summed_input(pre_local)
+        # deliveries use the weights as updated by this step's plasticity
+        for pop, pre_name, into in targets:
+            if local[pre_name].size:
+                into += pop.summed_input(local[pre_name])
+        for sign, pending in drive.items():
+            if pending.any():
+                deliver_spike(state, pending, sign, params)
+                pending.fill(0.0)
 
     return SpikeRecord.from_step_events(events, n, dt, sim.window)
 

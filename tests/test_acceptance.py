@@ -29,7 +29,7 @@ from spikesim import (Dataset, EncodingConfig, NetworkConfig, NeuronParams,
 from spikesim.dataio import (apply_checkpoint, checkpoint_from_network,
                              load_cifar10, make_synthetic)
 from spikesim.encoding import spikes_under_constant_current
-from spikesim.plasticity import (decay_traces, excitatory_resume,
+from spikesim.plasticity import (TAU_TRACE, decay_traces, excitatory_resume,
                                  excitatory_stdp, inhibitory_resume,
                                  inhibitory_stdp, resume_update, stdp_on_pre,
                                  stdp_on_post)
@@ -87,7 +87,7 @@ def test_c3_stdp_matches_all_pairs_double_sum():
         prev = 0
         for k in sorted(pre_set | post_set):
             if k > prev:
-                decay_traces(trace, (k - prev) * DT, plast.tau_trace)
+                decay_traces(trace, (k - prev) * DT)
             if k in pre_set:  # pre before post: coincident pairs potentiate
                 stdp_on_pre(pop, 0, trace[1:])
                 trace[0] += 1.0
@@ -100,8 +100,8 @@ def test_c3_stdp_matches_all_pairs_double_sum():
         pot = dep = 0.0
         if tp.size and tq.size:
             d = tq[None, :] - tp[:, None]
-            pot = np.sum(np.where(d >= 0.0, np.exp(-d / plast.tau_trace), 0.0))
-            dep = np.sum(np.where(d < 0.0, np.exp(d / plast.tau_trace), 0.0))
+            pot = np.sum(np.where(d >= 0.0, np.exp(-d / TAU_TRACE), 0.0))
+            dep = np.sum(np.where(d < 0.0, np.exp(d / TAU_TRACE), 0.0))
         delta = plast.A_plus * plast.W_max * pot - plast.A_minus * plast.W_max * dep
         expected = w0 + (delta if sign == "excitatory" else -delta)
         lo, hi = pop._bounds()
@@ -109,14 +109,14 @@ def test_c3_stdp_matches_all_pairs_double_sum():
         assert abs(pop.weight[0] - expected) < 1e-9
 
     # weights saturate exactly at the clip bounds under a hot schedule
-    hot = StdpParams(A_plus=0.9, A_minus=0.0, tau_trace=10.0, W_max=1200.0)
+    hot = StdpParams(A_plus=0.9, A_minus=0.0, W_max=1200.0)
     pop = SynapsePopulation(name="p", pre_index=np.array([0]),
                             post_index=np.array([0]),
                             weight=np.array([1100.0]), sign="excitatory",
                             n_pre=1, n_post=1, plasticity=hot)
     trace = np.zeros(2)
     for k in range(10):
-        decay_traces(trace, DT, hot.tau_trace)
+        decay_traces(trace, DT)
         stdp_on_pre(pop, 0, trace[1:])
         trace[0] += 1.0
         stdp_on_post(pop, 0, trace[:1])
@@ -149,8 +149,8 @@ def test_c3_engine_stdp_matches_all_pairs_double_sum():
             tp = record.times[pre_layer.start + i]
             tq = record.times[post_layer.start + j]
             d = tq[None, :] - tp[:, None]
-            pot[c] = np.sum(np.where(d >= 0.0, np.exp(-d / plast.tau_trace), 0.0))
-            dep[c] = np.sum(np.where(d < 0.0, np.exp(d / plast.tau_trace), 0.0))
+            pot[c] = np.sum(np.where(d >= 0.0, np.exp(-d / TAU_TRACE), 0.0))
+            dep[c] = np.sum(np.where(d < 0.0, np.exp(d / TAU_TRACE), 0.0))
         assert pot.any() and dep.any(), f"{name}: both pair orders must occur"
         gain = plast.A_plus * plast.W_max * pot      # |w| grows by at most this
         loss = plast.A_minus * plast.W_max * dep     # and shrinks by at most this

@@ -280,3 +280,37 @@ def test_negative_limits_are_data_errors(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
     assert main(["test", "--config", cfg, "--checkpoint", ckpt]) == 2
     assert "'limit_test'" in capsys.readouterr().err
+
+
+def test_infinite_ik_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", i_k="inf")
+    assert main(["train", "--phase", "1", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "I_K" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest_phase1.txt").exists()
+
+
+@pytest.mark.parametrize("bad", [["--trials", "0"], ["--lo", "600", "--hi", "50"],
+                                 ["--lo", "-5"], ["--hi", "inf"], ["--lo", "nan"],
+                                 ["--subset", "-3"]])
+def test_bad_search_arguments_are_usage_errors(tmp_path, cfg_path, capsys, bad):
+    # checked before the dataset or the checkpoint is read
+    assert main(["search-weights", "--config", cfg_path, "--from-checkpoint",
+                 str(tmp_path / "missing.bin"), "--out", str(tmp_path / "o"),
+                 *bad]) == 1
+    assert bad[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_limits_apply_to_synthetic_data(tmp_path):
+    cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, n_classes=3,
+                    limit_train=2, limit_classes=2)
+    assert main(["train", "--phase", "1", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert read_kv(tmp_path / "o" / "manifest_phase1.txt")["dataset_size"] == "2"
+    cfg, net_cfg, _, _ = load_run_config(cfg)
+    train = resolve_dataset(cfg, net_cfg, "train", None)
+    assert (len(train), train.n_classes) == (2, 2)
+    assert train.labels().tolist() == [0, 1]
+    test = resolve_dataset(cfg, net_cfg, "test", None)
+    assert sorted(set(test.labels().tolist())) == [0, 1]

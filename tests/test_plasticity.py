@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from spikesim import SpikeRecord, SynapsePopulation
-from spikesim.plasticity import (StdpParams, ResumeParams, decay_traces,
-                                 excitatory_resume, excitatory_stdp, freeze,
-                                 inhibitory_resume, inhibitory_stdp,
-                                 resume_update, resume_window, stdp_on_pre,
-                                 stdp_on_post)
+from spikesim.plasticity import (TAU_TRACE, StdpParams, ResumeParams,
+                                 decay_traces, excitatory_resume,
+                                 excitatory_stdp, freeze, inhibitory_resume,
+                                 inhibitory_stdp, resume_update, resume_window,
+                                 stdp_on_pre, stdp_on_post)
 from spikesim.topology import connect
 
 DT = 0.1
@@ -41,14 +41,13 @@ def pair_step(pop, trace, pre, post):
 def replay_trace_stdp(pop, pre_steps, post_steps):
     """Drive the event API exactly as the simulator does, in step order."""
     events = sorted(set(pre_steps) | set(post_steps))
-    tau = pop.plasticity.tau_trace
     trace = np.zeros(2)
     prev = None
     for k in events:
         if prev is not None:
-            decay_traces(trace, (k - prev) * DT, tau)
+            decay_traces(trace, (k - prev) * DT)
         elif k > 0:
-            decay_traces(trace, k * DT, tau)
+            decay_traces(trace, k * DT)
         pair_step(pop, trace, k in set(pre_steps), k in set(post_steps))
         prev = k
     return pop
@@ -65,8 +64,8 @@ def all_pairs_delta(pre_steps, post_steps, p, sign):
     pot = dep = 0.0
     if tp.size and tq.size:
         d = tq[None, :] - tp[:, None]
-        pot = float(np.sum(np.where(d >= 0.0, np.exp(-d / p.tau_trace), 0.0)))
-        dep = float(np.sum(np.where(d < 0.0, np.exp(d / p.tau_trace), 0.0)))
+        pot = float(np.sum(np.where(d >= 0.0, np.exp(-d / TAU_TRACE), 0.0)))
+        dep = float(np.sum(np.where(d < 0.0, np.exp(d / TAU_TRACE), 0.0)))
     delta = p.A_plus * p.W_max * pot - p.A_minus * p.W_max * dep
     return delta if sign == "excitatory" else -delta
 
@@ -101,9 +100,9 @@ def test_post_before_pre_depresses():
     p = pop.plasticity
     trace = np.zeros(2)
     pair_step(pop, trace, False, True)
-    decay_traces(trace, 5.0, p.tau_trace)
+    decay_traces(trace, 5.0)
     pair_step(pop, trace, True, False)
-    expected = 600.0 - p.A_minus * p.W_max * np.exp(-5.0 / p.tau_trace)
+    expected = 600.0 - p.A_minus * p.W_max * np.exp(-5.0 / TAU_TRACE)
     assert pop.weight[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -114,20 +113,20 @@ def test_inhibitory_potentiation_grows_magnitude():
 
 
 def test_clipping_saturates_at_bounds():
-    hot = StdpParams(A_plus=0.9, A_minus=0.0, tau_trace=10.0, W_max=1200.0)
+    hot = StdpParams(A_plus=0.9, A_minus=0.0, W_max=1200.0)
     pop = make_pair("excitatory", 1100.0, hot)
     trace = np.zeros(2)
     for k in range(10):
-        decay_traces(trace, DT, hot.tau_trace)
+        decay_traces(trace, DT)
         pair_step(pop, trace, True, True)
         assert 0.0 <= pop.weight[0] <= 1200.0
     assert pop.weight[0] == 1200.0
 
     pop = make_pair("inhibitory", -1100.0, StdpParams(
-        A_plus=0.9, A_minus=0.0, tau_trace=10.0, W_max=1200.0))
+        A_plus=0.9, A_minus=0.0, W_max=1200.0))
     trace = np.zeros(2)
     for k in range(10):
-        decay_traces(trace, DT, pop.plasticity.tau_trace)
+        decay_traces(trace, DT)
         pair_step(pop, trace, True, True)
         assert -1200.0 <= pop.weight[0] <= 0.0
     assert pop.weight[0] == -1200.0
@@ -136,7 +135,7 @@ def test_clipping_saturates_at_bounds():
 def test_table_parameter_factories():
     e, i = excitatory_stdp(), inhibitory_stdp()
     for p in (e, i):
-        assert (p.A_plus, p.A_minus, p.tau_trace, p.W_max) == (0.001, 0.0005, 10.0, 1200.0)
+        assert (p.A_plus, p.A_minus, TAU_TRACE, p.W_max) == (0.001, 0.0005, 10.0, 1200.0)
     re, ri = excitatory_resume(), inhibitory_resume()
     assert (re.A, re.tau, re.W_max) == (0.001, 10.0, 1200.0)
     assert (ri.A, ri.tau, ri.W_max) == (-0.001, 10.0, 1200.0)

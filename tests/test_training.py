@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from spikesim import (Dataset, EncodingConfig, ImageSample, NetworkConfig,
-                      SimulationConfig, StdpParams, build_network, classify,
-                      evaluate, load_checkpoint, present_image, run_phase1,
-                      run_phase2)
+                      SimulationConfig, SpikeRecord, build_network, classify,
+                      deliver_spike, encode_image, evaluate, load_checkpoint,
+                      new_state, present_image, run_phase1, run_phase2,
+                      step_neuron)
 from spikesim import training
 from spikesim.dataio import apply_checkpoint, make_synthetic
+from spikesim.plasticity import decay_traces, stdp_on_post, stdp_on_pre
 from spikesim.topology import PROJECTION_ORDER
 from spikesim.training import (frozen_eval_net, monte_carlo_weight_search,
                                set_phase1_modes, set_phase2_modes)
@@ -66,17 +68,68 @@ def test_plastic_presentation_changes_only_stdp_weights(tiny_net, sim, enc, tiny
     assert np.array_equal(before["readout_lateral"], after["readout_lateral"])
 
 
-def test_stdp_projections_must_share_tau_trace(tiny_net, sim, enc, tiny_ds):
-    # one trace per neuron serves every STDP projection, so they share one
-    # time constant
-    set_phase1_modes(tiny_net)
-    tiny_net.projections["feat_inhib"].plasticity = StdpParams(tau_trace=20.0)
-    before = weights_of(tiny_net)
-    with pytest.raises(ValueError, match=r"tau_trace.*feat_inhib=20\.0"):
-        present_image(tiny_net, tiny_ds[0], sim, enc, plastic=True)
-    assert same_weights(before, weights_of(tiny_net))
-    # a frozen presentation reads no trace
-    present_image(tiny_net, tiny_ds[0], sim, enc)
+def reference_presentation(net, img, sim, enc, plastic):
+    """The presentation engine written out from the public primitives: a
+    step's deliveries are per-connection sums (`bincount` over the spiking
+    connections), queued and injected at the start of the next step; the
+    STDP events follow the documented order (decay, pre events, trace bump,
+    post events)."""
+    params, n = net.params, net.n_neurons
+    I_ext = np.zeros(n)
+    I_ext[net.input_layer.start:net.input_layer.stop] = encode_image(img, enc)
+    state = new_state(n, params)
+    trace = np.zeros(n)
+    wired = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
+    stdp = [w for w in wired if plastic and w[0].mode == "stdp"]
+    queued: dict[str, np.ndarray] = {}
+    events = []
+    for k in range(sim.n_steps):
+        for sign, drive in queued.items():
+            deliver_spike(state, drive, sign, params)
+        queued = {}
+        state, spiked = step_neuron(state, params, I_ext, sim.dt)
+        if stdp:
+            decay_traces(trace, sim.dt)
+        if not spiked.any():
+            continue
+        events.append((k, np.flatnonzero(spiked)))
+        fired = {layer.name: np.flatnonzero(spiked[layer.start:layer.stop])
+                 for layer in net.layers}
+        for pop, pre, post in stdp:
+            if fired[pre.name].size:
+                stdp_on_pre(pop, fired[pre.name], trace[post.start:post.stop])
+        if stdp:
+            trace[spiked] += 1.0
+        for pop, pre, post in stdp:
+            if fired[post.name].size:
+                stdp_on_post(pop, fired[post.name], trace[pre.start:pre.stop])
+        for pop, pre, post in wired:
+            on = spiked[pre.start:pre.stop][pop.pre_index]
+            drive = queued.setdefault(pop.sign, np.zeros(n))
+            drive[post.start:post.stop] += np.bincount(
+                pop.post_index[on], weights=pop.weight[on], minlength=pop.n_post)
+    return SpikeRecord.from_step_events(events, n, sim.dt, sim.window)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+@pytest.mark.parametrize("plastic", [False, True])
+def test_presentation_matches_reference_loop(sim, enc, seed, plastic):
+    # w_feat_inhib = 800 makes the inhib layer fire, so every projection
+    # delivers; the one-step delay shows in every later spike
+    net = build_network(NetworkConfig(rows=4, cols=4, n_classes=2,
+                                      neurons_per_class=2, seed=seed,
+                                      w_feat_inhib=800.0))
+    if plastic:
+        set_phase1_modes(net)
+    img = np.random.default_rng(seed).uniform(0.3, 1.0, size=(4, 4))
+    ref_net = net.copy()
+    record = present_image(net, img, sim, enc, plastic=plastic)
+    assert record == reference_presentation(ref_net, img, sim, enc, plastic)
+    assert all(record.subset(layer.start, layer.stop).counts().any()
+               for layer in net.layers)
+    assert same_weights(weights_of(net), weights_of(ref_net))
+    changed = not same_weights(weights_of(net), weights_of(build_network(net.config)))
+    assert changed == plastic
 
 
 def test_image_shape_must_match_network(tiny_net, sim, enc):
