@@ -19,7 +19,9 @@ Euler error: for constant input the simulated membrane matches the analytic
 trajectory to rounding.
 
 State is vectorized: a NeuronState holds arrays over a homogeneous population,
-and a single neuron is simply a population of size one.
+and a single neuron is simply a population of size one. Every operation is
+elementwise, so a state of shape (images, neurons) steps a batch of images
+at once, each row exactly as it would step alone.
 """
 
 from __future__ import annotations
@@ -97,16 +99,18 @@ class NeuronState:
 
     @property
     def n(self) -> int:
-        return self.V_m.shape[0]
+        return self.V_m.shape[-1]
 
 
-def new_state(n: int, params: NeuronParams) -> NeuronState:
-    """Allocate a fresh population of `n` neurons at rest."""
-    if n < 1:
+def new_state(n: int | tuple[int, int], params: NeuronParams) -> NeuronState:
+    """Allocate a fresh population of `n` neurons at rest; `n` may also be a
+    shape (images, neurons), one row of state per image of a batch."""
+    shape = (n,) if np.ndim(n) == 0 else tuple(n)
+    if min(shape) < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
-    z = lambda: np.zeros(n, dtype=np.float64)
+    z = lambda: np.zeros(shape, dtype=np.float64)
     return NeuronState(
-        V_m=np.full(n, params.E_L, dtype=np.float64),
+        V_m=np.full(shape, params.E_L, dtype=np.float64),
         h1=z(), h2=z(), y1_ex=z(), y2_ex=z(), y1_in=z(), y2_in=z(),
         refractory_remaining=z(),
     )

@@ -18,6 +18,11 @@ Five projections, in their fixed serialization order:
                    excitatory
   readout_lateral  readout -> readout, cross-class pairs only, inhibitory
 
+The layers group into simulation stages (`stage_table`): input, then
+feature with inhib (the relay that closes its lateral inhibition loop), then
+readout. Spikes flow only forward between stages, so once phase 1 ends the
+stages below the readout are a fixed function of the image.
+
 Each class also gets one teacher: a programmable spike source used purely as
 the supervision signal of the readout's learning rule during phase 2. Teachers
 inject no current.
@@ -42,6 +47,31 @@ PROJECTION_LAYERS = {"input_feat": ("input", "feature"),
                      "inhib_feat": ("inhib", "feature"),
                      "feat_readout": ("feature", "readout"),
                      "readout_lateral": ("readout", "readout")}
+
+
+def stage_table(layer_names, projection_layers) -> tuple[tuple[str, ...], ...]:
+    """Group the layers, in neuron-index order, into simulation stages.
+
+    A layer whose every input comes from the stage just before it (a relay,
+    as inhib hears only feature) joins that stage; any other layer starts a
+    new one. A stage may feed itself and later stages only: a projection
+    into an earlier stage is refused, since that stage could then not be
+    simulated before the later one.
+    """
+    stages: list[list[str]] = []
+    for name in layer_names:
+        inputs = {pre for pre, post in projection_layers.values() if post == name}
+        if stages and inputs and inputs <= set(stages[-1]):
+            stages[-1].append(name)
+        else:
+            stages.append([name])
+    stage_of = {name: i for i, stage in enumerate(stages) for name in stage}
+    for proj, (pre, post) in projection_layers.items():
+        if stage_of[pre] > stage_of[post]:
+            raise ValueError(
+                f"projection {proj} runs from stage {stages[stage_of[pre]]} back into "
+                f"the earlier stage {stages[stage_of[post]]}")
+    return tuple(tuple(stage) for stage in stages)
 
 
 @dataclass(frozen=True)
@@ -185,10 +215,14 @@ class NetworkTopology:
     class_of: np.ndarray            # readout-local index -> class id
     # PROJECTION_LAYERS resolved to this network's Layer objects, once
     wiring: dict[str, tuple[Layer, Layer]] = field(init=False, repr=False)
+    # stage_table over this network's layers
+    stages: tuple[tuple[Layer, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.wiring = {name: (self.layer_of(pre), self.layer_of(post))
                        for name, (pre, post) in PROJECTION_LAYERS.items()}
+        names = stage_table([layer.name for layer in self.layers], PROJECTION_LAYERS)
+        self.stages = tuple(tuple(map(self.layer_of, stage)) for stage in names)
 
     @property
     def n_neurons(self) -> int:

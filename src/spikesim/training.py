@@ -7,6 +7,18 @@ online as spikes happen. Neuron state and the eligibility traces (one per
 neuron) live only inside a presentation, so presentations are independent
 and checkpoints at presentation boundaries are exact resume points.
 
+The engine runs the network by stages (`topology.stage_table`): input,
+feature with inhib, readout. Spikes flow only forward between stages, so
+once the projections into the lower stages are frozen (phase 2, the weight
+search, evaluation) an image's lower-stage spikes depend on the image alone.
+Those calls simulate the lower stages once per image, CHUNK images at a time
+with state shaped (images, neurons), keep each image's raster for the rest
+of the call, and replay its feature spikes into the readout stage, which
+evaluation also runs batched. Phase 1 runs every stage for one image at a
+time, since STDP writes the weights on every spiking step. One step loop,
+`_simulate`, serves all of these, and each image's result is bit-identical
+to a presentation that simulates the whole network alone.
+
 Phase 1 trains input->feature, feature->inhib, and inhib->feature with STDP
 while the readout projections stay static. Phase 2 freezes those three and
 trains feature->readout (and optionally the lateral readout inhibition) with
@@ -22,8 +34,10 @@ shuffle seed is supplied (per-epoch order then derives statelessly from
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,7 +51,7 @@ from .plasticity import (SIGNS, decay_traces, excitatory_resume, excitatory_stdp
                          freeze, inhibitory_resume, inhibitory_stdp,
                          resume_update, stdp_on_post, stdp_on_pre)
 from .records import SpikeRecord
-from .topology import NetworkTopology, teacher_train
+from .topology import Layer, NetworkTopology, teacher_train
 
 logger = logging.getLogger(__name__)
 
@@ -125,9 +139,199 @@ class SearchResult:
 
 # -- the presentation engine -------------------------------------------------
 
+# Images simulated together by one batched pass of the frozen lower stages
+# (and of `evaluate`'s readout stage).
+CHUNK = 32
+# Bytes of lower-stage rasters one call keeps for reuse. An image past the
+# bound is simulated again, with its chunk, every time it is presented.
+RASTER_BYTES = 256 * 2**20
+
 
 def _pixels_of(img) -> np.ndarray:
     return img.pixels if isinstance(img, ImageSample) else np.asarray(img, dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class Raster:
+    """One image's spikes over a range of neurons: the neurons that fire in
+    step k are ids[offsets[k]:offsets[k + 1]], ascending."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.ids.nbytes + self.offsets.nbytes
+
+    def events(self) -> list[tuple[int, np.ndarray]]:
+        """(step, neuron ids) for every step in which some neuron fires."""
+        o, ids = self.offsets.tolist(), self.ids.astype(np.int64)
+        return [(k, ids[o[k]:o[k + 1]]) for k in np.flatnonzero(np.diff(self.offsets)).tolist()]
+
+    def bounds(self, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
+        """Per step k, where the spikes of `layer` lie: ids[start[k]:stop[k]]."""
+        o = self.offsets
+        steps = np.repeat(np.arange(o.size - 1), np.diff(o))
+        below = lambda i: o[:-1] + np.bincount(steps[self.ids < i], minlength=o.size - 1)
+        return below(layer.start), below(layer.stop)
+
+
+@dataclass(frozen=True)
+class _Replay(ImageSample):
+    """A sample with the raster of its frozen lower stages: `present_image`
+    replays the raster and simulates only the readout stage."""
+
+    raster: Raster | None = None
+
+
+def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int,
+              I_ext: np.ndarray, rasters: list[Raster] | tuple = (),
+              learning: list = ()) -> list[Raster]:
+    """The step loop: stages [first, last) of `net.stages` for a batch of
+    images, one row of `I_ext` (external current over the range's neurons)
+    per image. Spikes of the stages before the range come from the images'
+    `rasters`. `learning` lists the (projection, pre, post) triples that learn
+    by STDP, which needs a single image and the whole network. Returns each
+    image's raster of the range.
+
+    Every projection into the range adds a spiking step's input per image,
+    as the sum of its spiking pre neurons' rows of W in ascending id order,
+    into its post layer's slice of that sign's drive, which is delivered
+    as the step ends and integrated from the next step.
+    """
+    params, dt, n_steps = net.params, sim.dt, sim.n_steps
+    layers = [layer for stage in net.stages[first:last] for layer in stage]
+    lo, hi = layers[0].start, layers[-1].stop
+    batch, n = I_ext.shape
+    if learning and (batch != 1 or first != 0 or last != len(net.stages)):
+        raise ValueError("STDP needs one image through every stage")
+    wired = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
+    into = [(pop, pre, post) for pop, pre, post in wired if lo <= post.start < hi]
+    # per pre layer before the range: where its spikes lie in each image's
+    # raster, as (steps, images) start and stop positions
+    feeds = []
+    fed = np.zeros(n_steps, dtype=bool)
+    for pre in {pre for _, pre, _ in into if pre.stop <= lo}:
+        start, stop = (np.stack(b, axis=1) for b in zip(*(r.bounds(pre) for r in rasters)))
+        feeds.append((pre, start, stop))
+        fed |= (stop > start).any(axis=1)
+    k0 = 0
+    if rasters and not I_ext.any() and params.E_L < params.omega:
+        # a neuron at rest without input stays exactly at rest, so the range
+        # starts at its first input
+        k0 = int(np.argmax(fed)) if fed.any() else n_steps
+    fed = fed.tolist()
+
+    # a lone image steps as a 1-D population: numpy runs it with less
+    # overhead per call than a (1, n) batch
+    shape = (n,) if batch == 1 else (batch, n)
+    I_ext = I_ext.reshape(shape)
+    state = new_state(shape, params)
+    # one eligibility trace per neuron; each layer's slice is a view into it
+    trace = np.zeros(n, dtype=np.float64)
+    trace_of = {layer.name: trace[layer.start - lo:layer.stop - lo] for layer in layers}
+    # the layer boundaries of every image in the flat (image, neuron) index,
+    # and per image the (name, shift to a layer-local id) of each layer
+    m = len(layers) + 1
+    edges = (np.arange(batch)[:, None] * n
+             + np.array([layer.start - lo for layer in layers] + [n])).ravel()
+    local_of = [[(layer.name, b * n + layer.start - lo) for layer in layers]
+                for b in range(batch)]
+
+    def by_layer(ids: np.ndarray, b: int, cut: list[int]) -> dict[str, np.ndarray]:
+        """Image b's spiking ids per layer, local to it, from the positions
+        `cut` of its layer boundaries among the flat `ids`."""
+        return {name: ids[x:y] - to_local
+                for (name, to_local), x, y in zip(local_of[b], cut, cut[1:])}
+    drive = {sign: np.zeros(shape, dtype=np.float64) for sign in SIGNS}
+    # per projection: its pre layer's name and, per image, its post slice of
+    # the drive of its sign
+    targets = []
+    for pop, pre, post in into:
+        into_post = drive[pop.sign][..., post.start - lo:post.stop - lo]
+        targets.append((pop, pre.name, [into_post] if batch == 1 else list(into_post)))
+    # per spiking step: the step, its flat ids, and where each image's ids
+    # begin among them (and the last one's end)
+    steps: list[int] = []
+    fired: list[np.ndarray] = []
+    cuts: list[list[int]] = []
+
+    for k in range(k0, n_steps):
+        state, spiked = step_neuron(state, params, I_ext, dt, validate=(k == k0))
+        if learning:
+            decay_traces(trace, dt)
+        # image -> layer -> its spiking ids this step (a name hashes faster
+        # than a Layer)
+        spikes: dict[int, dict[str, np.ndarray]] = {}
+        if spiked.any():
+            ids = np.flatnonzero(spiked)
+            at = np.searchsorted(ids, edges).tolist()
+            steps.append(k)
+            fired.append(ids)
+            if batch == 1:      # phase 1 runs this on almost every step
+                spikes[0] = by_layer(ids, 0, at)
+            else:
+                cuts.append(at[::m] + at[-1:])
+                for b in range(batch):
+                    cut = at[b * m:(b + 1) * m]
+                    if cut[0] < cut[-1]:
+                        spikes[b] = by_layer(ids, b, cut)
+        elif not fed[k]:
+            continue
+        if fed[k]:
+            for pre, start, stop in feeds:
+                x, y = start[k], stop[k]
+                for b in np.flatnonzero(y > x).tolist():
+                    spikes.setdefault(b, {})[pre.name] = (
+                        rasters[b].ids[x[b]:y[b]] - pre.start)
+        if learning:
+            local = spikes[0]
+            # pre events read the post traces before this step's spikes bump
+            # them, post events the pre traces after: coincident pairs potentiate
+            for pop, pre_layer, post_layer in learning:
+                if local[pre_layer.name].size:
+                    stdp_on_pre(pop, local[pre_layer.name], trace_of[post_layer.name])
+            trace[ids] += 1.0
+            for pop, pre_layer, post_layer in learning:
+                if local[post_layer.name].size:
+                    stdp_on_post(pop, local[post_layer.name], trace_of[pre_layer.name])
+        # deliveries use the weights as updated by this step's plasticity
+        for b, local in spikes.items():
+            for pop, pre_name, into_post in targets:
+                pre_ids = local.get(pre_name)
+                if pre_ids is not None and pre_ids.size:
+                    into_post[b] += pop.summed_input(pre_ids)
+        for sign, pending in drive.items():
+            if pending.any():
+                deliver_spike(state, pending, sign, params)
+                pending.fill(0.0)
+    out = []
+    for b in range(batch):
+        parts = fired if batch == 1 else [ids[cut[b]:cut[b + 1]] for ids, cut in zip(fired, cuts)]
+        counts = np.zeros(n_steps, dtype=np.int64)
+        counts[steps] = [part.size for part in parts]
+        ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        # flat index b * n + i is neuron lo + i
+        out.append(Raster((ids - (b * n - lo)).astype(np.int32),
+                          np.concatenate(([0], np.cumsum(counts))).astype(np.int32)))
+    return out
+
+
+def _input_current(net: NetworkTopology, images: list, enc: EncodingConfig,
+                   n: int) -> np.ndarray:
+    """(images, n) external current: each image encoded onto the input layer."""
+    cfg = net.config
+    I_ext = np.zeros((len(images), n), dtype=np.float64)
+    for row, img in zip(I_ext, images):
+        px = _pixels_of(img)
+        if px.shape != (cfg.rows, cfg.cols):
+            raise ValueError(f"image shape {px.shape} != ({cfg.rows}, {cfg.cols})")
+        row[net.input_layer.start:net.input_layer.stop] = encode_image(px, enc)
+    return I_ext
+
+
+def _readout_stage(net: NetworkTopology) -> int:
+    return len(net.stages) - 1
 
 
 def present_image(net: NetworkTopology, img, sim: SimulationConfig,
@@ -137,68 +341,115 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     With plastic=True the STDP projections update online; the supervised rule
     is a batch update owned by run_phase2 (it needs the label). Neuron state
     and traces are created on entry, so back-to-back calls are independent.
+    A sample that carries the raster of its frozen lower stages (phase 2)
+    replays it and simulates only the readout stage.
     """
-    px = _pixels_of(img)
-    cfg = net.config
-    if px.shape != (cfg.rows, cfg.cols):
-        raise ValueError(f"image shape {px.shape} != ({cfg.rows}, {cfg.cols})")
-    params = net.params
-    dt = sim.dt
-    n = net.n_neurons
+    raster = getattr(img, "raster", None)
+    if raster is None:
+        learning = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()
+                    if plastic and pop.mode == "stdp"]
+        I_ext = _input_current(net, [img], enc, net.n_neurons)
+        events = _simulate(net, sim, 0, len(net.stages), I_ext, learning=learning)[0].events()
+    else:
+        if plastic:
+            raise ValueError("a replayed presentation cannot learn by STDP")
+        top = _readout_stage(net)
+        zero = np.zeros((1, net.n_neurons - net.stages[top][0].start))
+        events = raster.events() + _simulate(net, sim, top, top + 1, zero, [raster])[0].events()
+    return SpikeRecord.from_step_events(events, net.n_neurons, sim.dt, sim.window)
 
-    # (projection, pre layer, post layer) in delivery order, and those that
-    # learn by STDP in this presentation
-    proj_info = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
-    learning = [info for info in proj_info if plastic and info[0].mode == "stdp"]
 
-    I_ext = np.zeros(n, dtype=np.float64)
-    I_ext[net.input_layer.start:net.input_layer.stop] = encode_image(px, enc)
+class _Rasters:
+    """The lower-stage rasters of one dataset's images, for one call.
 
-    state = new_state(n, params)
-    # one eligibility trace per neuron; each layer's slice is a view into it
-    trace = np.zeros(n, dtype=np.float64)
-    layers = net.layers
-    trace_of = {layer.name: trace[layer.start:layer.stop] for layer in layers}
-    edges = np.array([layer.start for layer in layers] + [n])
-    # a spiking step's input per synapse sign, each projection adding into its
-    # post layer's slice; delivered as the step ends, integrated from the next
-    drive = {sign: np.zeros(n, dtype=np.float64) for sign in SIGNS}
-    targets = [(pop, pre_layer.name, drive[pop.sign][post_layer.start:post_layer.stop])
-               for pop, pre_layer, post_layer in proj_info]
-    events: list[tuple[int, np.ndarray]] = []
+    Made a chunk at a time, CHUNK images per batched pass, when an image is
+    first presented, and kept while their bytes stay within RASTER_BYTES.
+    """
 
-    for k in range(sim.n_steps):
-        state, spiked = step_neuron(state, params, I_ext, dt, validate=(k == 0))
-        if learning:
-            decay_traces(trace, dt)
-        if not spiked.any():
-            continue
-        ids = np.flatnonzero(spiked)
-        events.append((k, ids))
-        cut = np.searchsorted(ids, edges)
-        # spiking ids per layer, local to it (a name hashes faster than a Layer)
-        local = {layer.name: ids[lo:hi] - layer.start
-                 for layer, lo, hi in zip(layers, cut, cut[1:])}
-        # pre events read the post traces before this step's spikes bump
-        # them, post events the pre traces after: coincident pairs potentiate
-        for pop, pre_layer, post_layer in learning:
-            if local[pre_layer.name].size:
-                stdp_on_pre(pop, local[pre_layer.name], trace_of[post_layer.name])
-        if learning:
-            trace[ids] += 1.0
-        for pop, pre_layer, post_layer in learning:
-            if local[post_layer.name].size:
-                stdp_on_post(pop, local[post_layer.name], trace_of[pre_layer.name])
-        # deliveries use the weights as updated by this step's plasticity
-        for pop, pre_name, into in targets:
-            if local[pre_name].size:
-                into += pop.summed_input(local[pre_name])
-        for sign, pending in drive.items():
-            if pending.any():
-                deliver_spike(state, pending, sign, params)
-                pending.fill(0.0)
+    def __init__(self, dataset: Dataset, sim: SimulationConfig, enc: EncodingConfig) -> None:
+        self.dataset, self.sim, self.enc = dataset, sim, enc
+        self.key: bytes | None = None     # set by shared()
+        self.kept: dict[int, Raster] = {}
+        self.bytes = 0
+        self.built = 0          # lower-stage passes, one per image
+        self.replayed = 0       # presentations served from a raster
 
-    return SpikeRecord.from_step_events(events, n, dt, sim.window)
+    @staticmethod
+    def _key(net: NetworkTopology, sim: SimulationConfig, enc: EncodingConfig) -> bytes:
+        lower_stop = net.stages[_readout_stage(net)][0].start
+        h = hashlib.blake2b(repr((net.config.fingerprint(), net.params, sim.dt,
+                                  sim.n_steps, enc)).encode(), digest_size=16)
+        for pop in net.ordered_projections():
+            if net.wiring[pop.name][1].stop <= lower_stop:
+                h.update(pop.W.tobytes())
+        return h.digest()
+
+    def shared(self, net: NetworkTopology) -> "_RasterDataset":
+        """The dataset bringing these rasters, for several calls to share.
+        They hold only for the lower weights, neuron parameters, clock and
+        encoding of `net`, and `check` refuses any other network."""
+        self.key = self._key(net, self.sim, self.enc)
+        d = self.dataset
+        return _RasterDataset(samples=d.samples, n_classes=d.n_classes,
+                              class_names=d.class_names, rasters=self)
+
+    def check(self, net: NetworkTopology, sim: SimulationConfig, enc: EncodingConfig) -> None:
+        if self._key(net, sim, enc) != self.key:
+            raise ValueError("the frozen lower stages changed since their rasters were made")
+
+    def chunks(self, net: NetworkTopology, order) -> Iterator[list[tuple[int, Raster]]]:
+        """The (index, raster) pairs of `order`, CHUNK at a time."""
+        order = [int(i) for i in order]
+        top = _readout_stage(net)
+        for at in range(0, len(order), CHUNK):
+            part = order[at:at + CHUNK]
+            todo = [i for i in dict.fromkeys(part) if i not in self.kept]
+            made = {}
+            if todo:
+                I_ext = _input_current(net, [self.dataset[i] for i in todo], self.enc,
+                                       net.stages[top][0].start)
+                for i, raster in zip(todo, _simulate(net, self.sim, 0, top, I_ext)):
+                    made[i] = raster
+                    if self.bytes + made[i].nbytes <= RASTER_BYTES:
+                        self.kept[i] = made[i]
+                        self.bytes += made[i].nbytes
+                self.built += len(todo)
+            self.replayed += len(part)
+            yield [(i, self.kept[i] if i in self.kept else made[i]) for i in part]
+
+    def samples(self, net: NetworkTopology, order) -> Iterator[_Replay]:
+        """The samples of `order`, each carrying its raster."""
+        for chunk in self.chunks(net, order):
+            for i, raster in chunk:
+                s = self.dataset[i]
+                yield _Replay(pixels=s.pixels, label=s.label, source_id=s.source_id,
+                              raster=raster)
+
+    def log(self, what: str, since: tuple[int, int] = (0, 0)) -> None:
+        """One INFO line: rasters built and presentations replayed since the
+        (built, replayed) counts `since`, and the bytes of rasters held."""
+        logger.info("%s: %d lower-stage rasters built, %d presentations replayed, "
+                    "%d bytes of rasters held", what, self.built - since[0],
+                    self.replayed - since[1], self.bytes)
+
+
+@dataclass
+class _RasterDataset(Dataset):
+    """A dataset that brings the rasters of its images, to share them
+    across the calls of one weight search."""
+
+    rasters: _Rasters | None = None
+
+
+def _rasters_for(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
+                 enc: EncodingConfig) -> _Rasters:
+    """The rasters a call replays: those the dataset brings, checked against
+    the network, or a new set that lives as long as the call."""
+    rasters = getattr(dataset, "rasters", None)
+    if rasters is None:
+        return _Rasters(dataset, sim, enc)
+    rasters.check(net, sim, enc)
+    return rasters
 
 
 # -- phase orchestration -----------------------------------------------------
@@ -245,14 +496,18 @@ def _weight_stats(net: NetworkTopology) -> dict:
 
 def _run_epochs(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                 phase: int, epochs: int, step, out_dir: str | Path | None,
-                start_presentation: int) -> PhaseResult:
+                start_presentation: int, samples=None) -> PhaseResult:
     """The epoch protocol shared by both phases.
 
     Runs `step(sample)` on every presentation past `start_presentation`,
     saves a checkpoint every `checkpoint_interval` presentations and a final
     one, and writes one JSONL record per epoch. Steps that return a bool
     (phase 2: sample classified correctly) add their mean as `train_accuracy`.
+    `samples(order)` yields the samples of an epoch's dataset indices still
+    to present (default: the dataset's own samples).
     """
+    if samples is None:
+        samples = lambda order: (dataset[int(i)] for i in order)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -270,11 +525,12 @@ def _run_epochs(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
     epoch_stats: list[dict] = []
     for epoch in range(epochs):
         correct: list[bool] = []
-        for idx in _epoch_order(len(dataset), epoch, sim):
+        order = _epoch_order(len(dataset), epoch, sim)
+        skip = min(order.size, max(0, start_presentation - counter))
+        counter += skip
+        for sample in samples(order[skip:]):
             counter += 1
-            if counter <= start_presentation:
-                continue
-            if (hit := step(dataset[int(idx)])) is not None:
+            if (hit := step(sample)) is not None:
                 correct.append(hit)
             if counter % sim.checkpoint_interval == 0:
                 save(counter, f"{counter:08d}")
@@ -337,9 +593,13 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                enc: EncodingConfig, out_dir: str | Path | None = None,
                start_presentation: int = 0) -> PhaseResult:
     """Supervised readout training against per-class teacher trains; each
-    presentation is classified before its update (the epoch's train_accuracy)."""
+    presentation is classified before its update (the epoch's train_accuracy).
+    The frozen lower stages of each image are simulated once, and their
+    raster replayed into the readout in every epoch."""
     check_labels(net, dataset)
     set_phase2_modes(net)
+    rasters = _rasters_for(net, dataset, sim, enc)
+    since = rasters.built, rasters.replayed
     p4 = net.projections["feat_readout"]
     p5 = net.projections["readout_lateral"]
     feat, readout = net.feature_layer, net.readout_layer
@@ -356,8 +616,10 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
             resume_update(p5, teacher, actual, actual, sim.window)
         return predicted == sample.label
 
-    return _run_epochs(net, dataset, sim, 2, sim.epochs_phase2, step, out_dir,
-                       start_presentation)
+    result = _run_epochs(net, dataset, sim, 2, sim.epochs_phase2, step, out_dir,
+                         start_presentation, lambda order: rasters.samples(net, order))
+    rasters.log("phase 2", since)
+    return result
 
 
 # -- classification and evaluation -------------------------------------------
@@ -371,17 +633,45 @@ def _predict(net: NetworkTopology, counts: np.ndarray) -> tuple[int, np.ndarray,
     return int(winners[0]), class_counts, winners.size > 1
 
 
-def classify(net: NetworkTopology, img, sim: SimulationConfig,
-             enc: EncodingConfig) -> ClassificationResult:
-    """Winner-takes-all prediction; requires every projection frozen."""
+def _require_static(net: NetworkTopology) -> None:
     for pop in net.projections.values():
         if pop.mode != "static":
             raise ValueError(
                 f"classification needs static projections, {pop.name} is {pop.mode}")
-    record = present_image(net, img, sim, enc, plastic=False)
-    counts = record.subset(net.readout_layer.start, net.readout_layer.stop).counts()
+
+
+def _classified(net: NetworkTopology, counts: np.ndarray) -> ClassificationResult:
     predicted, class_counts, tie = _predict(net, counts)
     return ClassificationResult(predicted, class_counts, counts, tie)
+
+
+def classify(net: NetworkTopology, img, sim: SimulationConfig,
+             enc: EncodingConfig) -> ClassificationResult:
+    """Winner-takes-all prediction; requires every projection frozen."""
+    _require_static(net)
+    record = present_image(net, img, sim, enc, plastic=False)
+    return _classified(net, record.subset(net.readout_layer.start,
+                                          net.readout_layer.stop).counts())
+
+
+def _classify_all(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
+                  enc: EncodingConfig) -> list[ClassificationResult]:
+    """classify() of every sample, the readout stage run CHUNK images at a
+    time on the replayed lower-stage rasters."""
+    rasters = _rasters_for(net, dataset, sim, enc)
+    since = rasters.built, rasters.replayed
+    top = _readout_stage(net)
+    start = net.stages[top][0].start
+    readout = net.readout_layer
+    results = []
+    for chunk in rasters.chunks(net, range(len(dataset))):
+        zero = np.zeros((len(chunk), net.n_neurons - start))
+        for raster in _simulate(net, sim, top, top + 1, zero, [r for _, r in chunk]):
+            ids = raster.ids
+            inside = ids[(ids >= readout.start) & (ids < readout.stop)] - readout.start
+            results.append(_classified(net, np.bincount(inside, minlength=readout.size)))
+    rasters.log("evaluation", since)
+    return results
 
 
 def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
@@ -389,8 +679,9 @@ def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
     """Accuracy over a dataset: overall, per class, and the class mean +- std."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
+    _require_static(net)
     check_labels(net, dataset)
-    results = [classify(net, sample, sim, enc) for sample in dataset]
+    results = _classify_all(net, dataset, sim, enc)
     labels = dataset.labels()
     predicted = np.array([r.predicted for r in results], dtype=np.int64)
     ties = sum(r.tie for r in results)
@@ -423,7 +714,8 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
     Each trial copies the phase-1-trained network, sets every feat_readout
     weight to the candidate, trains one phase-2 epoch on eval_subset, and
     scores accuracy on eval_subset with frozen weights. Ties pick the smaller
-    weight. Deterministic for a given seed.
+    weight. Deterministic for a given seed. The trials differ only in
+    feat_readout, so the lower stages run once per image for all of them.
     """
     lo, hi = candidates
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
@@ -435,15 +727,17 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
     rng = np.random.default_rng(seed)
     weights = rng.uniform(lo, hi, trials)
     sim_one = replace(sim, epochs_phase2=1)
+    subset = _Rasters(eval_subset, sim, enc).shared(net)
     results: list[Trial] = []
     for i, w in enumerate(weights):
         candidate = net.copy()
         candidate.projections["feat_readout"].weight = w
-        run_phase2(candidate, eval_subset, sim_one, enc, out_dir=None)
-        report = evaluate(frozen_eval_net(candidate), eval_subset, sim, enc)
+        run_phase2(candidate, subset, sim_one, enc, out_dir=None)
+        report = evaluate(frozen_eval_net(candidate), subset, sim, enc)
         results.append(Trial(weight=float(w), accuracy=report.overall))
         logger.info("weight search trial %d/%d: w=%.3f acc=%.4f",
                     i + 1, trials, w, report.overall)
+    subset.rasters.log("weight search")
     best_acc = max(t.accuracy for t in results)
     best_weight = min(t.weight for t in results if t.accuracy == best_acc)
     return SearchResult(best_weight=best_weight, trials=results)

@@ -1,6 +1,6 @@
 """Training engine behavior: determinism, reset hygiene, phase separation,
-checkpoint cadence and resume, atomic saves, classification, and the weight
-search."""
+checkpoint cadence and resume, atomic saves, classification, the weight
+search, and the frozen lower stages replayed from their rasters."""
 
 from dataclasses import replace
 
@@ -393,3 +393,153 @@ def test_failed_save_keeps_previous_final_checkpoint(tmp_path, enc, tiny_ds, mon
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
     final = load_checkpoint(tmp_path / "ckpt_phase1_final.bin")
     assert final.presentations == len(tiny_ds)
+
+
+# -- frozen lower stages: rasters made once, replayed into the readout ----------------
+
+
+def firing_net(seed):
+    """A 4x4 net whose inhib layer fires (w_feat_inhib = 800), so every
+    projection delivers."""
+    return build_network(NetworkConfig(rows=4, cols=4, n_classes=2, neurons_per_class=2,
+                                       seed=seed, w_feat_inhib=800.0))
+
+
+def bright_ds(seed, n=7):
+    rng = np.random.default_rng(seed)
+    return Dataset(samples=[ImageSample(pixels=rng.uniform(0.3, 1.0, (4, 4)), label=i % 2,
+                                        source_id=f"bright:{i}") for i in range(n)],
+                   n_classes=2)
+
+
+def test_stage_table():
+    net = build_tiny()
+    assert [[layer.name for layer in stage] for stage in net.stages] == [
+        ["input"], ["feature", "inhib"], ["readout"]]
+
+
+def test_readout_feeding_an_earlier_stage_is_refused(monkeypatch):
+    from spikesim import topology
+    monkeypatch.setitem(topology.PROJECTION_LAYERS, "readout_feat", ("readout", "feature"))
+    with pytest.raises(ValueError, match="readout_feat"):
+        build_tiny()
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_replayed_presentation_equals_full_presentation(sim, enc, seed):
+    net = firing_net(seed)
+    set_phase2_modes(net)
+    ds = bright_ds(seed)
+    replays = list(training._Rasters(ds, sim, enc).samples(net, range(len(ds))))
+    for sample, replay in zip(ds, replays):
+        full = present_image(net, sample, sim, enc)
+        assert present_image(net, replay, sim, enc) == full
+        assert all(full.subset(layer.start, layer.stop).counts().any() for layer in net.layers)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_batched_evaluate_equals_classify(monkeypatch, sim, enc, seed):
+    monkeypatch.setattr(training, "CHUNK", 3)      # 7 images: chunks of 3, 3, 1
+    net = frozen_eval_net(firing_net(seed))
+    net.projections["feat_readout"].weight = np.random.default_rng(seed).uniform(
+        100.0, 400.0, net.projections["feat_readout"].n_connections)
+    ds = bright_ds(seed)
+    batched = training._classify_all(net, ds, sim, enc)
+    single = [classify(net, s, sim, enc) for s in ds]
+    for a, b in zip(batched, single, strict=True):
+        assert (a.predicted, a.tie) == (b.predicted, b.tie)
+        assert np.array_equal(a.class_counts, b.class_counts)
+        assert np.array_equal(a.neuron_counts, b.neuron_counts)
+    assert any(r.neuron_counts.any() for r in single), "the readout must fire"
+    report = evaluate(net, ds, sim, enc)
+    assert report.ties == sum(r.tie for r in single)
+    hits = np.array([r.predicted for r in single]) == ds.labels()
+    assert report.overall == hits.mean()
+
+
+def test_phase2_without_kept_rasters_is_byte_identical(monkeypatch, tmp_path, enc):
+    sim = SimulationConfig(epochs_phase2=3, checkpoint_interval=4, shuffle_seed=9)
+    ds = bright_ds(3)
+    run_phase2(firing_net(3), ds, sim, enc, out_dir=tmp_path / "kept")
+    monkeypatch.setattr(training, "RASTER_BYTES", 0)
+    run_phase2(firing_net(3), ds, sim, enc, out_dir=tmp_path / "remade")
+    kept = {p.name: p.read_bytes() for p in (tmp_path / "kept").iterdir()}
+    assert len(kept) == 7           # 21 presentations: 5 periodic, final, log
+    assert kept == {p.name: p.read_bytes() for p in (tmp_path / "remade").iterdir()}
+
+
+def count_steps(monkeypatch):
+    calls = []
+    real = training.step_neuron
+
+    def counted(state, *args, **kwargs):
+        calls.append(state.V_m.shape)
+        return real(state, *args, **kwargs)
+    monkeypatch.setattr(training, "step_neuron", counted)
+    return calls
+
+
+@pytest.mark.parametrize("E_L", [-70.0, -50.0])
+def test_readout_starts_at_first_input_only_from_rest(monkeypatch, sim, enc, E_L):
+    # with E_L >= omega (-51) a neuron at rest fires, so the readout stage
+    # must run from step 0 however late its first input comes
+    params = replace(build_tiny().params, E_L=E_L)
+    net = build_network(firing_net(5).config, params)
+    ds = bright_ds(5, n=2)
+    replays = list(training._Rasters(ds, sim, enc).samples(net, range(2)))
+    late = training.Raster(np.array([net.feature_layer.start], dtype=np.int32),
+                           np.repeat(np.array([0, 1], dtype=np.int32), [101, sim.n_steps - 100]))
+    replays.append(replace(replays[0], raster=late))
+    calls = count_steps(monkeypatch)
+    records = []
+    for replay in replays:
+        calls.clear()
+        records.append(present_image(net, replay, sim, enc))
+        assert calls[0] == (net.readout_layer.size,)
+    readout = records[-1].subset(net.readout_layer.start, net.readout_layer.stop)
+    if E_L < params.omega:
+        assert len(calls) == sim.n_steps - 100
+    else:
+        assert len(calls) == sim.n_steps
+        assert all(t.size and t[0] == 0.0 for t in readout.times)
+    for sample, record in zip(ds, records):
+        assert record == present_image(net, sample, sim, enc)
+
+
+def test_evaluate_refuses_a_learning_net_before_simulating(monkeypatch, sim, enc):
+    net = build_tiny()
+    set_phase1_modes(net)
+    calls = count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="classification needs static projections"):
+        evaluate(net, bright_ds(1), sim, enc)
+    assert calls == []
+
+
+def test_stale_rasters_are_refused(sim, enc):
+    net = firing_net(6)
+    ds = bright_ds(6)
+    shared = training._Rasters(ds, sim, enc).shared(net)
+    run_phase2(net, shared, sim, enc)
+    evaluate(frozen_eval_net(net), shared, sim, enc)
+    w = net.projections["inhib_feat"].weight.copy()
+    w[0] *= 0.5
+    net.projections["inhib_feat"].weight = w
+    with pytest.raises(ValueError, match="lower stages changed"):
+        evaluate(frozen_eval_net(net), shared, sim, enc)
+    with pytest.raises(ValueError, match="lower stages changed"):
+        run_phase2(net, shared, sim, enc)
+
+
+def test_each_frozen_call_logs_its_rasters(caplog, sim, enc):
+    net = firing_net(7)
+    ds = bright_ds(7)
+    with caplog.at_level("INFO", logger="spikesim.training"):
+        monte_carlo_weight_search(net, (100.0, 400.0), 3, ds, sim, enc, seed=1)
+    lines = [r.getMessage() for r in caplog.records if "rasters built" in r.getMessage()]
+    # one line per trial's phase 2 and evaluation, then the search's total:
+    # the lower stages ran once per image for all 6 calls
+    assert len(lines) == 7
+    assert lines[0].startswith("phase 2: 7 lower-stage rasters built, 7 presentations")
+    assert lines[1].startswith("evaluation: 0 lower-stage rasters built, 7 presentations")
+    assert lines[-1].startswith("weight search: 7 lower-stage rasters built, "
+                                "42 presentations replayed")
