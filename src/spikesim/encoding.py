@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .neuron import NeuronParams, new_state, step_neuron
+from .neuron import NeuronParams, StepKernel, new_state
 
 GRID = 0.1  # calibration resolution (pA)
 
@@ -56,12 +56,11 @@ def spikes_under_constant_current(params: NeuronParams, I: float, window: float,
                                   dt: float) -> np.ndarray:
     """Spike times of one neuron driven by DC current I from rest."""
     n_steps = int(round(window / dt))
-    state = new_state(1, params)
-    I_arr = np.array([I], dtype=np.float64)
+    step = StepKernel(new_state(1, params), params, np.array([I], dtype=np.float64), dt,
+                      validate=False)
     times = []
     for k in range(n_steps):
-        state, spiked = step_neuron(state, params, I_arr, dt, validate=False)
-        if spiked[0]:
+        if step().size:
             times.append(k * dt)
     return np.asarray(times, dtype=np.float64)
 

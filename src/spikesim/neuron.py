@@ -21,13 +21,15 @@ trajectory to rounding.
 State is vectorized: a NeuronState holds arrays over a homogeneous population,
 and a single neuron is simply a population of size one. Every operation is
 elementwise, so a state of shape (images, neurons) steps a batch of images
-at once, each row exactly as it would step alone.
+at once, each row exactly as it would step alone. A simulation loop prepares
+one StepKernel and calls it once per step; step_neuron is a single call of
+one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -95,7 +97,6 @@ class NeuronState:
     y1_in: np.ndarray
     y2_in: np.ndarray
     refractory_remaining: np.ndarray    # ms left in refractory, in [0, t_ref]
-    t: float = 0.0                      # time since new_state (ms)
 
     @property
     def n(self) -> int:
@@ -210,9 +211,17 @@ def deliver_spike(state: NeuronState, weight, sign: str,
     return state
 
 
-def step_neuron(state: NeuronState, params: NeuronParams, I_ext, dt: float,
-                validate: bool = True):
-    """Advance every neuron by one step of `dt` ms under external current I_ext.
+class StepKernel:
+    """The neuron step of one simulation loop, prepared once.
+
+    Built for one `state`, `params`, `dt` and a fixed external current
+    `I_ext`: it fetches the propagators and computes the constant drive
+    E_L + drive * I_ext once, and allocates the scratch the step needs. Each
+    call advances every neuron by one step of `dt` ms, updating the state's
+    arrays in place (they must not be replaced while the kernel is in use),
+    and returns the flat ids (into the raveled state) of the neurons that
+    spiked, ascending; `spiked` holds the same step's boolean mask until the
+    next call overwrites it.
 
     Order within the step: exact update of membrane + synaptic channels,
     threshold decay, refractory countdown, then the spike test at the step end
@@ -220,50 +229,104 @@ def step_neuron(state: NeuronState, params: NeuronParams, I_ext, dt: float,
     refractory reload apply after the test, so a spike never suppresses itself.
     The membrane is not reset on spike.
 
-    Returns (state, spiked) where spiked is a boolean mask. Spikes are stamped
-    with the step's start time; state.t advances by dt.
+    `validate=False` skips the finiteness checks of the current and the
+    state, made once here, for loops that have already validated them.
+    """
+
+    def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float,
+                 validate: bool = True) -> None:
+        P = propagators(params, dt)
+        I = np.asarray(I_ext, dtype=np.float64)
+        if validate:
+            if not np.all(np.isfinite(I)):
+                raise ValueError("non-finite external current")
+            for name in ("V_m", "h1", "h2", "y1_ex", "y2_ex", "y1_in", "y2_in"):
+                if not np.all(np.isfinite(getattr(state, name))):
+                    raise ValueError(f"non-finite neuron state in {name}")
+        self.state = state
+        self._drive = params.E_L + P.drive * I
+        # as 0-d float64 arrays: numpy converts a Python float operand on
+        # every call, which costs more than the arithmetic on a few hundred
+        # neurons; the results are the same float64 operations
+        self._consts = tuple(np.array(c, dtype=np.float64) for c in (
+            params.E_L, P.P33, P.P31_ex, P.P32_ex, P.P31_in, P.P32_in,
+            P.P11_ex, P.P21_ex, P.P11_in, P.P21_in, P.decay_h1, P.decay_h2,
+            dt, 0.0, params.omega, REFRACTORY_EPS, params.alpha1, params.alpha2,
+            params.t_ref))
+        shape = state.V_m.shape
+        self._sum, self._term = np.empty(shape), np.empty(shape)
+        self.spiked, self._ready = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        # flat views, for the updates by id
+        flat = (self.spiked, state.h1, state.h2, state.refractory_remaining)
+        self._flat = tuple(a.reshape(-1) for a in flat)
+        if not all(map(np.may_share_memory, self._flat, flat)):
+            raise ValueError("neuron state arrays must have a flat view (e.g. C-contiguous)")
+
+    def __call__(self) -> np.ndarray:
+        (E_L, P33, P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i, decay_h1, decay_h2,
+         dt, zero, omega, eps, alpha1, alpha2, t_ref) = self._consts
+        s, acc, term = self.state, self._sum, self._term
+        V, h1, h2, r = s.V_m, s.h1, s.h2, s.refractory_remaining
+        y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
+
+        # membrane first: uses the channel values at the step start; the
+        # channel terms sum left to right, ((ex1 + ex2) + in1) + in2
+        V -= E_L
+        V *= P33
+        V += self._drive
+        np.multiply(y1e, P31e, out=acc)
+        np.multiply(y2e, P32e, out=term)
+        acc += term
+        np.multiply(y1i, P31i, out=term)
+        acc += term
+        np.multiply(y2i, P32i, out=term)
+        acc += term
+        V += acc
+
+        # alpha channels (y2 before y1: P21 needs the start-of-step y1; the decay
+        # factor e^(-dt/tau_s) is shared by both stages)
+        y2e *= P11e
+        np.multiply(y1e, P21e, out=term)
+        y2e += term
+        y1e *= P11e
+        y2i *= P11i
+        np.multiply(y1i, P21i, out=term)
+        y2i += term
+        y1i *= P11i
+
+        # threshold decay and refractory countdown
+        h1 *= decay_h1
+        h2 *= decay_h2
+        np.subtract(r, dt, out=r)
+        np.maximum(r, zero, out=r)
+
+        # spike test against the threshold (omega + h1) + h2
+        np.add(h1, omega, out=acc)
+        acc += h2
+        np.greater_equal(V, acc, out=self.spiked)
+        np.less_equal(r, eps, out=self._ready)
+        self.spiked &= self._ready
+        spiked, h1, h2, r = self._flat
+        ids = spiked.nonzero()[0]
+        if ids.size:
+            h1[ids] += alpha1
+            h2[ids] += alpha2
+            r[ids] = t_ref
+        return ids
+
+
+def step_neuron(state: NeuronState, params: NeuronParams, I_ext, dt: float,
+                validate: bool = True):
+    """Advance every neuron by one step of `dt` ms under external current I_ext:
+    one call of a StepKernel prepared for it, whose docstring gives the order
+    of the step.
+
+    Returns (state, spiked) where spiked is a boolean mask over the state.
+    Spikes are stamped with the step's start time.
 
     `validate=False` skips the finiteness checks for hot loops that have
     already validated their inputs.
     """
-    P = propagators(params, dt)
-    I = np.asarray(I_ext, dtype=np.float64)
-    if validate:
-        if not np.all(np.isfinite(I)):
-            raise ValueError("non-finite external current")
-        for name in ("V_m", "h1", "h2", "y1_ex", "y2_ex", "y1_in", "y2_in"):
-            if not np.all(np.isfinite(getattr(state, name))):
-                raise ValueError(f"non-finite neuron state in {name}")
-
-    V, h1, h2 = state.V_m, state.h1, state.h2
-    y1e, y2e, y1i, y2i = state.y1_ex, state.y2_ex, state.y1_in, state.y2_in
-
-    # membrane first: uses the channel values at the step start
-    V -= params.E_L
-    V *= P.P33
-    V += params.E_L + P.drive * I
-    V += P.P31_ex * y1e + P.P32_ex * y2e + P.P31_in * y1i + P.P32_in * y2i
-
-    # alpha channels (y2 before y1: P21 needs the start-of-step y1; the decay
-    # factor e^(-dt/tau_s) is shared by both stages)
-    y2e *= P.P11_ex
-    y2e += P.P21_ex * y1e
-    y1e *= P.P11_ex
-    y2i *= P.P11_in
-    y2i += P.P21_in * y1i
-    y1i *= P.P11_in
-
-    # threshold decay and refractory countdown
-    h1 *= P.decay_h1
-    h2 *= P.decay_h2
-    r = state.refractory_remaining
-    np.subtract(r, dt, out=r)
-    np.maximum(r, 0.0, out=r)
-
-    spiked = (r <= REFRACTORY_EPS) & (V >= params.omega + h1 + h2)
-    if spiked.any():
-        h1[spiked] += params.alpha1
-        h2[spiked] += params.alpha2
-        r[spiked] = params.t_ref
-    state.t += dt
-    return state, spiked
+    kernel = StepKernel(state, params, I_ext, dt, validate)
+    kernel()
+    return state, kernel.spiked

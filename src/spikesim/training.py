@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,12 +47,18 @@ import numpy as np
 from .dataio import (Dataset, ImageSample, checkpoint_from_network, save_checkpoint,
                      write_atomic)
 from .encoding import EncodingConfig, encode_image
-from .neuron import new_state, step_neuron, deliver_spike
-from .plasticity import (SIGNS, decay_traces, excitatory_resume, excitatory_stdp,
+from .neuron import StepKernel, new_state, deliver_spike
+from .plasticity import (SIGNS, TAU_TRACE, excitatory_resume, excitatory_stdp,
                          freeze, inhibitory_resume, inhibitory_stdp,
                          resume_update, stdp_on_post, stdp_on_pre)
 from .records import SpikeRecord
 from .topology import Layer, NetworkTopology, teacher_train
+
+# Not called by the engine, which steps through one StepKernel and decays the
+# traces by a factor of its own. Kept importable from here because the
+# benchmark's tracer (perfbench/tracer.py) patches both names on this module.
+from .neuron import step_neuron
+from .plasticity import decay_traces
 
 logger = logging.getLogger(__name__)
 
@@ -192,7 +199,8 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
     per image. Spikes of the stages before the range come from the images'
     `rasters`. `learning` lists the (projection, pre, post) triples that learn
     by STDP, which needs a single image and the whole network. Returns each
-    image's raster of the range.
+    image's raster of the range. One StepKernel, prepared here, steps the
+    neurons for the whole call.
 
     Every projection into the range adds a spiking step's input per image,
     as the sum of its spiking pre neurons' rows of W in ascending id order,
@@ -227,8 +235,10 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
     shape = (n,) if batch == 1 else (batch, n)
     I_ext = I_ext.reshape(shape)
     state = new_state(shape, params)
+    step = StepKernel(state, params, I_ext, dt)
     # one eligibility trace per neuron; each layer's slice is a view into it
     trace = np.zeros(n, dtype=np.float64)
+    trace_decay = math.exp(-dt / TAU_TRACE)
     trace_of = {layer.name: trace[layer.start - lo:layer.stop - lo] for layer in layers}
     # the layer boundaries of every image in the flat (image, neuron) index,
     # and per image the (name, shift to a layer-local id) of each layer
@@ -257,14 +267,15 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
     cuts: list[list[int]] = []
 
     for k in range(k0, n_steps):
-        state, spiked = step_neuron(state, params, I_ext, dt, validate=(k == k0))
+        ids = step()
         if learning:
-            decay_traces(trace, dt)
+            trace *= trace_decay
+        if not ids.size and not fed[k]:
+            continue
         # image -> layer -> its spiking ids this step (a name hashes faster
         # than a Layer)
         spikes: dict[int, dict[str, np.ndarray]] = {}
-        if spiked.any():
-            ids = np.flatnonzero(spiked)
+        if ids.size:
             at = np.searchsorted(ids, edges).tolist()
             steps.append(k)
             fired.append(ids)
@@ -276,8 +287,6 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
                     cut = at[b * m:(b + 1) * m]
                     if cut[0] < cut[-1]:
                         spikes[b] = by_layer(ids, b, cut)
-        elif not fed[k]:
-            continue
         if fed[k]:
             for pre, start, stop in feeds:
                 x, y = start[k], stop[k]

@@ -46,18 +46,20 @@ def test_c1_neuron_analytic_oracle():
     # subthreshold trajectory vs closed form, 100 ms at dt=0.1
     current = 300.0
     state = new_state(1, params)
-    for _ in range(int(WINDOW / DT)):
+    for k in range(int(WINDOW / DT)):
         state, fired = step_neuron(state, params, np.array([current]), DT)
         assert not fired.any()
-        expected = params.E_L + params.R * current * (1.0 - math.exp(-state.t / params.tau_m))
+        t = (k + 1) * DT
+        expected = params.E_L + params.R * current * (1.0 - math.exp(-t / params.tau_m))
         assert abs(state.V_m[0] - expected) < 1e-9
     # threshold decay after a forced spike
     state = new_state(1, params)
     state.h1[0], state.h2[0] = params.alpha1, params.alpha2
-    for _ in range(int(WINDOW / DT)):
+    for k in range(int(WINDOW / DT)):
         state, _ = step_neuron(state, params, np.zeros(1), DT)
-        expected = (params.alpha1 * math.exp(-state.t / params.tau1)
-                    + params.alpha2 * math.exp(-state.t / params.tau2))
+        t = (k + 1) * DT
+        expected = (params.alpha1 * math.exp(-t / params.tau1)
+                    + params.alpha2 * math.exp(-t / params.tau2))
         assert abs((state.h1[0] + state.h2[0]) - expected) < 1e-9
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from spikesim import NeuronParams, new_state, step_neuron
-from spikesim.neuron import deliver_spike, propagators, threshold_at
+from spikesim.neuron import (REFRACTORY_EPS, NeuronState, StepKernel, deliver_spike,
+                             propagators, threshold_at)
 
 from conftest import I_K_DEFAULT
 
@@ -57,10 +58,10 @@ def test_subthreshold_trajectory_matches_closed_form(params):
     for dt in (0.1, 0.05, 0.5):
         state = new_state(1, params)
         n_steps = int(round(100.0 / dt))
-        for _ in range(n_steps):
+        for k in range(n_steps):
             state, fired = step_neuron(state, params, np.array([current]), dt)
             assert not fired.any()
-            t = state.t
+            t = (k + 1) * dt
             expected = params.E_L + params.R * current * (1.0 - math.exp(-t / params.tau_m))
             assert state.V_m[0] == pytest.approx(expected, abs=1e-9)
 
@@ -100,9 +101,9 @@ def test_threshold_decay_closed_form(params):
     state = new_state(1, params)
     state.h1[0], state.h2[0] = params.alpha1, params.alpha2
     dt = 0.1
-    for _ in range(int(round(100.0 / dt))):
+    for k in range(int(round(100.0 / dt))):
         state, _ = step_neuron(state, params, np.zeros(1), dt)
-        t = state.t
+        t = (k + 1) * dt
         expected = (params.alpha1 * math.exp(-t / params.tau1)
                     + params.alpha2 * math.exp(-t / params.tau2) + params.omega)
         assert threshold_at(state, params)[0] == pytest.approx(expected, abs=1e-9)
@@ -226,6 +227,183 @@ def test_degenerate_tau_syn_equal_tau_m():
     for _ in range(100):
         state, _ = step_neuron(state, p_eq, np.zeros(1), 0.1)
         assert np.isfinite(state.V_m[0])
+
+
+# -- the prepared step kernel -----------------------------------------------------
+
+
+def reference_step(state, params, I_ext, dt, validate=True):
+    """step_neuron as it was before the StepKernel, verbatim but for the
+    dropped `state.t += dt`: the arithmetic the kernel must reproduce bit for
+    bit."""
+    P = propagators(params, dt)
+    I = np.asarray(I_ext, dtype=np.float64)
+    if validate:
+        if not np.all(np.isfinite(I)):
+            raise ValueError("non-finite external current")
+        for name in ("V_m", "h1", "h2", "y1_ex", "y2_ex", "y1_in", "y2_in"):
+            if not np.all(np.isfinite(getattr(state, name))):
+                raise ValueError(f"non-finite neuron state in {name}")
+
+    V, h1, h2 = state.V_m, state.h1, state.h2
+    y1e, y2e, y1i, y2i = state.y1_ex, state.y2_ex, state.y1_in, state.y2_in
+
+    # membrane first: uses the channel values at the step start
+    V -= params.E_L
+    V *= P.P33
+    V += params.E_L + P.drive * I
+    V += P.P31_ex * y1e + P.P32_ex * y2e + P.P31_in * y1i + P.P32_in * y2i
+
+    # alpha channels (y2 before y1: P21 needs the start-of-step y1; the decay
+    # factor e^(-dt/tau_s) is shared by both stages)
+    y2e *= P.P11_ex
+    y2e += P.P21_ex * y1e
+    y1e *= P.P11_ex
+    y2i *= P.P11_in
+    y2i += P.P21_in * y1i
+    y1i *= P.P11_in
+
+    # threshold decay and refractory countdown
+    h1 *= P.decay_h1
+    h2 *= P.decay_h2
+    r = state.refractory_remaining
+    np.subtract(r, dt, out=r)
+    np.maximum(r, 0.0, out=r)
+
+    spiked = (r <= REFRACTORY_EPS) & (V >= params.omega + h1 + h2)
+    if spiked.any():
+        h1[spiked] += params.alpha1
+        h2[spiked] += params.alpha2
+        r[spiked] = params.t_ref
+    return state, spiked
+
+
+STATE_ARRAYS = ("V_m", "h1", "h2", "y1_ex", "y2_ex", "y1_in", "y2_in",
+                "refractory_remaining")
+
+
+def random_state(rng, shape, params):
+    """A state mid-simulation: membranes around threshold, raised thresholds,
+    live synaptic channels, and a third of the neurons refractory."""
+    state = new_state(shape, params)
+    state.V_m[...] = rng.uniform(-75.0, -40.0, shape)
+    state.h1[...] = rng.uniform(0.0, 40.0, shape)
+    state.h2[...] = rng.uniform(0.0, 6.0, shape)
+    state.y1_ex[...] = rng.uniform(0.0, 500.0, shape)
+    state.y2_ex[...] = rng.uniform(0.0, 300.0, shape)
+    state.y1_in[...] = rng.uniform(-200.0, 0.0, shape)
+    state.y2_in[...] = rng.uniform(-150.0, 0.0, shape)
+    state.refractory_remaining[...] = np.where(rng.random(shape) < 1 / 3,
+                                               rng.uniform(0.0, params.t_ref, shape), 0.0)
+    return state
+
+
+def copy_state(state, row=...):
+    return NeuronState(**{name: getattr(state, name)[row].copy() for name in STATE_ARRAYS})
+
+
+def random_deliveries(rng, shape, n_steps):
+    """Per step, None or (excitatory, inhibitory) weights to deliver."""
+    return [(rng.uniform(0.0, 300.0, shape) * (rng.random(shape) < 0.3),
+             -rng.uniform(0.0, 300.0, shape) * (rng.random(shape) < 0.2))
+            if rng.random() < 0.25 else None for _ in range(n_steps)]
+
+
+def deliver(state, weights, params):
+    if weights is not None:
+        deliver_spike(state, weights[0], "excitatory", params)
+        deliver_spike(state, weights[1], "inhibitory", params)
+
+
+@pytest.mark.parametrize("shape", [(97,), (4, 53)])
+def test_kernel_is_bit_identical_to_the_reference_step(params, shape):
+    rng = np.random.default_rng(sum(shape))
+    dt, n_steps = 0.1, 600
+    # currents on both sides of the rheobase (380 pA)
+    I_ext = rng.uniform(0.0, 2.0 * params.rheobase, shape)
+    ref = random_state(rng, shape, params)
+    state = copy_state(ref)
+    step = StepKernel(state, params, I_ext, dt)
+    deliveries = random_deliveries(rng, shape, n_steps)
+    n_spikes = n_refractory_blocked = 0
+    for weights in deliveries:
+        blocked = (state.refractory_remaining > dt + REFRACTORY_EPS).sum()
+        _, mask = reference_step(ref, params, I_ext, dt)
+        ids = step()
+        assert np.array_equal(ids, np.flatnonzero(mask))
+        for name in STATE_ARRAYS:
+            assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+        n_spikes += ids.size
+        n_refractory_blocked += blocked
+        deliver(ref, weights, params)
+        deliver(state, weights, params)
+    assert n_spikes >= 50 and n_refractory_blocked > 0
+    assert (I_ext < params.rheobase).any() and (I_ext > params.rheobase).any()
+
+
+def test_step_neuron_is_one_kernel_step(params):
+    rng = np.random.default_rng(3)
+    shape = (3, 31)
+    I_ext = rng.uniform(0.0, 800.0, shape)
+    ref = random_state(rng, shape, params)
+    state = copy_state(ref)
+    for weights in random_deliveries(rng, shape, 500):
+        _, want = reference_step(ref, params, I_ext, 0.1)
+        out, got = step_neuron(state, params, I_ext, 0.1)
+        assert out is state and got.shape == shape and got.dtype == bool
+        assert np.array_equal(got, want)
+        for name in STATE_ARRAYS:
+            assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+        deliver(ref, weights, params)
+        deliver(state, weights, params)
+
+
+def test_a_batch_row_steps_as_it_would_alone(params):
+    rng = np.random.default_rng(8)
+    shape = (4, 29)
+    I_ext = rng.uniform(0.0, 800.0, shape)
+    batch = random_state(rng, shape, params)
+    rows = [copy_state(batch, b) for b in range(shape[0])]
+    batch_step = StepKernel(batch, params, I_ext, 0.1)
+    row_steps = [StepKernel(row, params, I_ext[b], 0.1) for b, row in enumerate(rows)]
+    for weights in random_deliveries(rng, shape, 500):
+        ids = batch_step()
+        for b, (row, row_step) in enumerate(zip(rows, row_steps)):
+            row_ids = row_step()
+            assert np.array_equal(ids[(ids >= b * shape[1]) & (ids < (b + 1) * shape[1])]
+                                  - b * shape[1], row_ids)
+            for name in STATE_ARRAYS:
+                assert getattr(batch, name)[b].tobytes() == getattr(row, name).tobytes()
+            if weights is not None:
+                deliver(row, (weights[0][b], weights[1][b]), params)
+        deliver(batch, weights, params)
+
+
+def test_kernel_threshold_sums_omega_first(params):
+    # V stays exactly at E_L without input; thresholds within a few ulps of
+    # E_L after the step's decay, where (omega + h1) + h2 and
+    # omega + (h1 + h2) round apart, decide the spike as the reference does
+    p = NeuronParams(E_L=-50.0)
+    P = propagators(p, 0.1)
+    h1 = np.repeat(np.random.default_rng(4).uniform(0.0, 1.0, 400), 9)
+    h2 = (p.E_L - p.omega - h1 * P.decay_h1) / P.decay_h2
+    h2 = h2 + np.tile(np.arange(-4, 5), 400) * np.spacing(h2)
+    state = new_state(h1.size, p)
+    state.h1[:], state.h2[:] = h1, h2
+    ref = copy_state(state)
+    ids = StepKernel(state, p, 0.0, 0.1)()
+    _, mask = reference_step(ref, p, 0.0, 0.1)
+    assert np.array_equal(ids, np.flatnonzero(mask))
+    h1d, h2d = h1 * P.decay_h1, h2 * P.decay_h2
+    assert np.all(state.V_m == p.E_L)
+    assert ((p.E_L >= (p.omega + h1d) + h2d) != (p.E_L >= p.omega + (h1d + h2d))).any()
+
+
+def test_kernel_refuses_a_state_without_a_flat_view(params):
+    state = new_state((2, 3), params)
+    state.h1 = np.zeros((3, 2)).T
+    with pytest.raises(ValueError, match="flat view"):
+        StepKernel(state, params, np.zeros(3), 0.1)
 
 
 # -- validation ------------------------------------------------------------------

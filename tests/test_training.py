@@ -14,6 +14,7 @@ from spikesim import (Dataset, EncodingConfig, ImageSample, NetworkConfig,
                       step_neuron)
 from spikesim import training
 from spikesim.dataio import apply_checkpoint, make_synthetic
+from spikesim.neuron import StepKernel
 from spikesim.plasticity import decay_traces, stdp_on_post, stdp_on_pre
 from spikesim.topology import PROJECTION_ORDER
 from spikesim.training import (frozen_eval_net, monte_carlo_weight_search,
@@ -469,13 +470,14 @@ def test_phase2_without_kept_rasters_is_byte_identical(monkeypatch, tmp_path, en
 
 
 def count_steps(monkeypatch):
+    """Record the state shape of every neuron step the engine's kernel takes."""
     calls = []
-    real = training.step_neuron
+    real = StepKernel.__call__
 
-    def counted(state, *args, **kwargs):
-        calls.append(state.V_m.shape)
-        return real(state, *args, **kwargs)
-    monkeypatch.setattr(training, "step_neuron", counted)
+    def counted(self):
+        calls.append(self.state.V_m.shape)
+        return real(self)
+    monkeypatch.setattr(StepKernel, "__call__", counted)
     return calls
 
 
