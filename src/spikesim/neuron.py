@@ -23,7 +23,8 @@ and a single neuron is simply a population of size one. Every operation is
 elementwise, so a state of shape (images, neurons) steps a batch of images
 at once, each row exactly as it would step alone. A simulation loop prepares
 one StepKernel and calls it once per step; step_neuron is a single call of
-one.
+one. Likewise a loop checks its weights once and delivers through the same
+unchecked arithmetic that deliver_spike runs after its per-call checks.
 """
 
 from __future__ import annotations
@@ -186,6 +187,41 @@ def threshold_at(state: NeuronState, params: NeuronParams) -> np.ndarray:
     return params.omega + state.h1 + state.h2
 
 
+# the impulse stage y1 and the time constant of each sign's channel
+_CHANNELS = {"excitatory": ("y1_ex", "tau_syn_ex"), "inhibitory": ("y1_in", "tau_syn_in")}
+
+
+def _check_delivery(weight, sign: str) -> None:
+    """Refuse a delivery weight that is not finite or has the wrong sign:
+    excitatory weights must be >= 0, inhibitory <= 0."""
+    if sign not in _CHANNELS:
+        raise ValueError(f"unknown synapse sign {sign!r}")
+    w = np.asarray(weight, dtype=np.float64)
+    if not w.size:
+        return
+    # two reductions and no temporary the size of a weight matrix; a NaN
+    # makes both of them NaN
+    lo, hi = float(w.min()), float(w.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("spike weight must be finite")
+    if sign == "excitatory" and lo < 0.0:
+        raise ValueError("excitatory delivery with negative weight")
+    if sign == "inhibitory" and hi > 0.0:
+        raise ValueError("inhibitory delivery with positive weight")
+
+
+def _channel(state: NeuronState, sign: str, params: NeuronParams) -> tuple[np.ndarray, np.ndarray]:
+    """The y1 array of `sign`'s channel and the factor e / tau_syn that a
+    delivery scales its weight by (a 0-d float64, see StepKernel)."""
+    y1, tau = _CHANNELS[sign]
+    return getattr(state, y1), np.array(math.e / getattr(params, tau))
+
+
+def _inject(y1: np.ndarray, weight, gain: np.ndarray) -> None:
+    """The arithmetic of a delivery, unchecked: y1 += weight * gain."""
+    y1 += weight * gain
+
+
 def deliver_spike(state: NeuronState, weight, sign: str,
                   params: NeuronParams) -> NeuronState:
     """Inject presynaptic spikes of the given total `weight` per neuron (pA).
@@ -194,20 +230,15 @@ def deliver_spike(state: NeuronState, weight, sign: str,
     (delivering 2w once equals delivering w twice). Excitatory weights must be
     >= 0 and inhibitory <= 0; the pulse peaks at the weight itself after
     tau_syn ms.
+
+    Every call checks the weight and looks up the channel; a simulation loop
+    checks its weights once and delivers through the unchecked arithmetic,
+    as the engine does.
     """
     w = np.asarray(weight, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("spike weight must be finite")
-    if sign == "excitatory":
-        if np.any(w < 0.0):
-            raise ValueError("excitatory delivery with negative weight")
-        state.y1_ex += w * (math.e / params.tau_syn_ex)
-    elif sign == "inhibitory":
-        if np.any(w > 0.0):
-            raise ValueError("inhibitory delivery with positive weight")
-        state.y1_in += w * (math.e / params.tau_syn_in)
-    else:
-        raise ValueError(f"unknown synapse sign {sign!r}")
+    _check_delivery(w, sign)
+    y1, gain = _channel(state, sign, params)
+    _inject(y1, w, gain)
     return state
 
 
@@ -324,8 +355,10 @@ def step_neuron(state: NeuronState, params: NeuronParams, I_ext, dt: float,
     Returns (state, spiked) where spiked is a boolean mask over the state.
     Spikes are stamped with the step's start time.
 
-    `validate=False` skips the finiteness checks for hot loops that have
-    already validated their inputs.
+    Every call prepares a kernel: it fetches the propagators, allocates the
+    scratch and, unless `validate=False`, checks the current and the state
+    for finiteness. A simulation loop prepares one StepKernel instead and
+    calls it once per step.
     """
     kernel = StepKernel(state, params, I_ext, dt, validate)
     kernel()

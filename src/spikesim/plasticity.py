@@ -26,7 +26,9 @@ the direction, and "potentiation" always grows |w|).
 
 Every projection stores its weights as one dense (n_pre, n_post) matrix, so
 a pre event updates a row, a post event a column, and the supervised rule
-adds one matrix product; non-connections are held at exactly 0.
+adds one matrix product; non-connections are held at exactly 0. A loop
+prepares one StdpEvents per learning projection; stdp_on_pre and
+stdp_on_post check their arguments and then run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ class StdpParams:
     W_min: float = 0.0
 
     def __post_init__(self) -> None:
+        # finite, so that events clipped to the band keep the weights finite
+        if not all(map(math.isfinite, (self.A_plus, self.A_minus, self.W_max))):
+            raise ValueError("STDP constants must be finite")
         if self.A_plus < 0.0 or self.A_minus < 0.0:
             raise ValueError("STDP rates must be non-negative")
         if not (0.0 <= self.W_min <= self.W_max):
@@ -191,35 +196,6 @@ class SynapsePopulation:
             return (w_min, w_max)
         return (-w_max, -w_min)
 
-    def _settle(self, block: np.ndarray, off: np.ndarray | None) -> None:
-        """Clip an updated block of W to the band, then re-zero its
-        non-connections (clipping may have moved them off 0)."""
-        lo, hi = self._bounds()
-        np.clip(block, lo, hi, out=block)
-        if off is not None:
-            np.copyto(block, 0.0, where=off)
-
-    def _add_to_rows(self, ids: np.ndarray, delta: np.ndarray) -> None:
-        """W[i, :] += delta for each (distinct) pre id i, then clip and mask."""
-        block = self.W[ids]
-        block += delta
-        self._settle(block, None if self._off is None else self._off[ids])
-        self.W[ids] = block
-
-    def _add_to_cols(self, ids: np.ndarray, delta: np.ndarray) -> None:
-        """W[:, j] += delta for each (distinct) post id j, then clip and mask.
-        When every post neuron fired (a feature volley) the update runs in
-        place: gathering and scattering all columns costs more than the
-        update itself."""
-        if ids.size == self.n_post:
-            self.W += delta[:, None]
-            self._settle(self.W, self._off)
-            return
-        block = self.W[:, ids]
-        block += delta[:, None]
-        self._settle(block, None if self._off is None else self._off[:, ids])
-        self.W[:, ids] = block
-
     def summed_input(self, pre_ids: np.ndarray) -> np.ndarray:
         """Total weight onto each post neuron from the given spiking pre
         neurons: their rows of W summed one after another in the order given
@@ -276,10 +252,87 @@ def decay_traces(trace: np.ndarray, dt: float) -> np.ndarray:
     return trace
 
 
-def _check_trace(pop: SynapsePopulation, trace: np.ndarray, n: int) -> None:
+def _settle(block: np.ndarray, lo, hi, off: np.ndarray | None) -> None:
+    """Clip an updated block of W to the band [lo, hi], then re-zero its
+    non-connections `off` (clipping may have moved them off 0). np.clip, not
+    np.maximum then np.minimum: those differ from it at a signed-zero bound."""
+    np.clip(block, lo, hi, out=block)
+    if off is not None:
+        np.copyto(block, 0.0, where=off)
+
+
+class StdpEvents:
+    """The STDP events of one projection, prepared once per simulation loop.
+
+    Checks the stdp mode once and holds, as 0-d float64 arrays (see
+    neuron.StepKernel), the signed step per unit of trace of a pre event
+    (A_minus * W_max, shrinking |w|) and of a post event (A_plus * W_max,
+    growing |w|), and the clip band; it also holds the non-connection mask
+    and the projection's W, which the events update in place (it must not be
+    replaced while they are in use). `on_pre` and `on_post` run only the
+    arithmetic: the ids must be distinct and in range, the trace finite
+    float64 of the right length. stdp_on_pre / stdp_on_post validate their
+    arguments and then make one call of them.
+    """
+
+    def __init__(self, pop: SynapsePopulation) -> None:
+        p = _require_stdp(pop)
+        depress, potentiate = p.A_minus * p.W_max, p.A_plus * p.W_max
+        if pop.sign == "excitatory":
+            depress = -depress
+        else:
+            potentiate = -potentiate
+        # trace * -c equals -(c * trace) bit for bit, signed zeros included
+        self._depress, self._potentiate = np.array(depress), np.array(potentiate)
+        self._lo, self._hi = (np.array(b, dtype=np.float64) for b in pop._bounds())
+        self.W, self._off = pop.W, pop._off
+
+    def on_pre(self, ids: np.ndarray, trace: np.ndarray) -> None:
+        """Depress each spiking pre neuron's row of W by the post traces."""
+        self._add(ids, trace * self._depress, ids.size == self.W.shape[0])
+
+    def on_post(self, ids: np.ndarray, trace: np.ndarray) -> None:
+        """Potentiate each spiking post neuron's column of W by the pre traces."""
+        self._add((slice(None), ids), (trace * self._potentiate)[:, None],
+                  ids.size == self.W.shape[1])
+
+    def _add(self, at, delta: np.ndarray, whole: bool) -> None:
+        """W[at] += delta, then clip and re-zero. When every row or column
+        takes the event (a volley) the update runs in place: gathering and
+        scattering the whole matrix costs more than the update itself."""
+        W, off = self.W, self._off
+        if whole:
+            W += delta
+            _settle(W, self._lo, self._hi, off)
+            return
+        block = W[at]
+        block += delta
+        _settle(block, self._lo, self._hi, None if off is None else off[at])
+        W[at] = block
+
+
+def _event_ids(pop: SynapsePopulation, ids, n: int, kind: str) -> np.ndarray:
+    ids = np.atleast_1d(np.asarray(ids))
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"{pop.name}: {kind} ids must be integers, got {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.ndim != 1:
+        raise ValueError(f"{pop.name}: {kind} ids must be an int or a 1-D array")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"{pop.name}: {kind} id out of range")
+    if np.unique(ids).size != ids.size:
+        raise ValueError(f"{pop.name}: repeated {kind} id")
+    return ids
+
+
+def _event_trace(pop: SynapsePopulation, trace, n: int) -> np.ndarray:
     if np.shape(trace) != (n,):
         raise ValueError(f"{pop.name}: expected a trace of {n} neurons, "
                          f"got shape {np.shape(trace)}")
+    trace = np.asarray(trace, dtype=np.float64)
+    if not np.all(np.isfinite(trace)):
+        raise ValueError(f"{pop.name}: non-finite trace")
+    return trace
 
 
 def stdp_on_pre(pop: SynapsePopulation, pre_neuron,
@@ -290,16 +343,15 @@ def stdp_on_pre(pop: SynapsePopulation, pre_neuron,
     `pre_neuron` may be an int or an array of distinct ids spiking this step.
     The traces must already be decayed to the current step and not yet
     bumped by this step's spikes.
+
+    Every call checks the mode, the ids and the trace, and prepares the
+    event; a loop that applies many events prepares one StdpEvents instead.
     """
-    p = _require_stdp(pop)
-    ids = np.atleast_1d(np.asarray(pre_neuron, dtype=np.int64))
-    if ids.size and (ids.min() < 0 or ids.max() >= pop.n_pre):
-        raise IndexError(f"{pop.name}: pre id out of range")
-    _check_trace(pop, trace, pop.n_post)
+    events = StdpEvents(pop)
+    ids = _event_ids(pop, pre_neuron, pop.n_pre, "pre")
+    trace = _event_trace(pop, trace, pop.n_post)
     if ids.size:
-        step = p.A_minus * p.W_max * trace
-        # depression shrinks |w|
-        pop._add_to_rows(ids, -step if pop.sign == "excitatory" else step)
+        events.on_pre(ids, trace)
     return pop
 
 
@@ -307,16 +359,16 @@ def stdp_on_post(pop: SynapsePopulation, post_neuron,
                  trace: np.ndarray) -> SynapsePopulation:
     """Apply the post-spike event: potentiate each spiking post neuron's
     column of W by `trace`, the pre neurons' traces, which must already
-    include this step's pre spikes (so coincident pairs potentiate)."""
-    p = _require_stdp(pop)
-    ids = np.atleast_1d(np.asarray(post_neuron, dtype=np.int64))
-    if ids.size and (ids.min() < 0 or ids.max() >= pop.n_post):
-        raise IndexError(f"{pop.name}: post id out of range")
-    _check_trace(pop, trace, pop.n_pre)
+    include this step's pre spikes (so coincident pairs potentiate).
+
+    Every call checks the mode, the ids and the trace, and prepares the
+    event; a loop that applies many events prepares one StdpEvents instead.
+    """
+    events = StdpEvents(pop)
+    ids = _event_ids(pop, post_neuron, pop.n_post, "post")
+    trace = _event_trace(pop, trace, pop.n_pre)
     if ids.size:
-        step = p.A_plus * p.W_max * trace
-        # potentiation grows |w|
-        pop._add_to_cols(ids, step if pop.sign == "excitatory" else -step)
+        events.on_post(ids, trace)
     return pop
 
 
@@ -393,7 +445,7 @@ def resume_update(pop: SynapsePopulation, teacher_spikes: SpikeRecord,
          - _event_counts(t_act, j_act, T, pop.n_post)).astype(np.float64)
     Tr = _causal_traces(t_pre, i_pre, pop.n_pre, T, p.tau)
     pop.W += p.W_max * p.A * (Tr.T @ Y)
-    pop._settle(pop.W, pop._off)
+    _settle(pop.W, *pop._bounds(), pop._off)
     return pop
 
 

@@ -47,18 +47,19 @@ import numpy as np
 from .dataio import (Dataset, ImageSample, checkpoint_from_network, save_checkpoint,
                      write_atomic)
 from .encoding import EncodingConfig, encode_image
-from .neuron import StepKernel, new_state, deliver_spike
-from .plasticity import (SIGNS, TAU_TRACE, excitatory_resume, excitatory_stdp,
-                         freeze, inhibitory_resume, inhibitory_stdp,
-                         resume_update, stdp_on_post, stdp_on_pre)
+from .neuron import StepKernel, _channel, _check_delivery, _inject, new_state
+from .plasticity import (SIGNS, TAU_TRACE, StdpEvents, excitatory_resume,
+                         excitatory_stdp, freeze, inhibitory_resume, inhibitory_stdp,
+                         resume_update)
 from .records import SpikeRecord
 from .topology import Layer, NetworkTopology, teacher_train
 
-# Not called by the engine, which steps through one StepKernel and decays the
-# traces by a factor of its own. Kept importable from here because the
-# benchmark's tracer (perfbench/tracer.py) patches both names on this module.
-from .neuron import step_neuron
-from .plasticity import decay_traces
+# Not called by the engine, which steps through one StepKernel, decays the
+# traces by a factor of its own, and applies STDP events and deliveries
+# through their prepared arithmetic. Kept importable from here because the
+# benchmark's tracer (perfbench/tracer.py) patches these names on this module.
+from .neuron import deliver_spike, step_neuron
+from .plasticity import decay_traces, stdp_on_post, stdp_on_pre
 
 logger = logging.getLogger(__name__)
 
@@ -200,12 +201,15 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
     `rasters`. `learning` lists the (projection, pre, post) triples that learn
     by STDP, which needs a single image and the whole network. Returns each
     image's raster of the range. One StepKernel, prepared here, steps the
-    neurons for the whole call.
+    neurons for the whole call, and each learning projection's StdpEvents
+    and each channel's delivery are prepared here too.
 
     Every projection into the range adds a spiking step's input per image,
     as the sum of its spiking pre neurons' rows of W in ascending id order,
     into its post layer's slice of that sign's drive, which is delivered
-    as the step ends and integrated from the next step.
+    as the step ends and integrated from the next step. Those weights are
+    checked once, here: each must be finite and of its projection's sign,
+    and STDP keeps them in its clip band for the rest of the call.
     """
     params, dt, n_steps = net.params, sim.dt, sim.n_steps
     layers = [layer for stage in net.stages[first:last] for layer in stage]
@@ -215,6 +219,11 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
         raise ValueError("STDP needs one image through every stage")
     wired = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
     into = [(pop, pre, post) for pop, pre, post in wired if lo <= post.start < hi]
+    for pop, _, _ in into:
+        try:
+            _check_delivery(pop.W, pop.sign)
+        except ValueError as err:
+            raise ValueError(f"{pop.name}: {err}") from None
     # per pre layer before the range: where its spikes lie in each image's
     # raster, as (steps, images) start and stop positions
     feeds = []
@@ -240,6 +249,10 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
     trace = np.zeros(n, dtype=np.float64)
     trace_decay = math.exp(-dt / TAU_TRACE)
     trace_of = {layer.name: trace[layer.start - lo:layer.stop - lo] for layer in layers}
+    # per learning projection: its events, its pre and post layers' names,
+    # and the traces its pre events read (post) and its post events (pre)
+    plastic = [(StdpEvents(pop), pre.name, post.name, trace_of[post.name], trace_of[pre.name])
+               for pop, pre, post in learning]
     # the layer boundaries of every image in the flat (image, neuron) index,
     # and per image the (name, shift to a layer-local id) of each layer
     m = len(layers) + 1
@@ -260,6 +273,8 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
     for pop, pre, post in into:
         into_post = drive[pop.sign][..., post.start - lo:post.stop - lo]
         targets.append((pop, pre.name, [into_post] if batch == 1 else list(into_post)))
+    # per sign: its pending drive, and its channel's y1 and delivery factor
+    deliveries = [(pending, *_channel(state, sign, params)) for sign, pending in drive.items()]
     # per spiking step: the step, its flat ids, and where each image's ids
     # begin among them (and the last one's end)
     steps: list[int] = []
@@ -297,22 +312,22 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
             local = spikes[0]
             # pre events read the post traces before this step's spikes bump
             # them, post events the pre traces after: coincident pairs potentiate
-            for pop, pre_layer, post_layer in learning:
-                if local[pre_layer.name].size:
-                    stdp_on_pre(pop, local[pre_layer.name], trace_of[post_layer.name])
+            for events, pre_name, _, post_trace, _ in plastic:
+                if local[pre_name].size:
+                    events.on_pre(local[pre_name], post_trace)
             trace[ids] += 1.0
-            for pop, pre_layer, post_layer in learning:
-                if local[post_layer.name].size:
-                    stdp_on_post(pop, local[post_layer.name], trace_of[pre_layer.name])
+            for events, _, post_name, _, pre_trace in plastic:
+                if local[post_name].size:
+                    events.on_post(local[post_name], pre_trace)
         # deliveries use the weights as updated by this step's plasticity
         for b, local in spikes.items():
             for pop, pre_name, into_post in targets:
                 pre_ids = local.get(pre_name)
                 if pre_ids is not None and pre_ids.size:
                     into_post[b] += pop.summed_input(pre_ids)
-        for sign, pending in drive.items():
+        for pending, y1, gain in deliveries:
             if pending.any():
-                deliver_spike(state, pending, sign, params)
+                _inject(y1, pending, gain)
                 pending.fill(0.0)
     out = []
     for b in range(batch):

@@ -201,6 +201,40 @@ def test_stdp_events_equal_connection_updates(rule, sign, w_min):
     assert all(at_bounds), "updates must reach both bounds"
 
 
+@pytest.mark.parametrize("sign", ["excitatory", "inhibitory"])
+def test_stdp_signed_zeros_equal_connection_updates(sign):
+    # with W_min = 0 a bound is +0.0 (excitatory) or -0.0 (inhibitory); a
+    # zero-trace event adds a signed zero, and only np.clip keeps the sign
+    # of a zero at such a bound the way the references do
+    rng = np.random.default_rng([19, sign == "excitatory"])
+    params = StdpParams(A_plus=0.2, A_minus=0.15, W_min=0.0, W_max=1200.0)
+    seen = set()
+    for rule in RULES:
+        pop = random_population(rng, rule, sign, params)
+        pop.weight = np.where(rng.random(pop.n_connections) < 0.5, 0.0, -0.0)
+        w = pop.weight.copy()
+        for _ in range(40):
+            scale = 0.0 if rng.random() < 0.5 else 5.0
+            pre_trace = rng.uniform(0.0, scale, size=pop.n_pre)
+            post_trace = rng.uniform(0.0, scale, size=pop.n_post)
+            volley = rng.random() < 0.5
+            pre_ids = np.arange(pop.n_pre) if volley else np.sort(rng.choice(
+                pop.n_pre, size=int(rng.integers(1, pop.n_pre + 1)), replace=False))
+            post_ids = np.arange(pop.n_post) if volley else np.sort(rng.choice(
+                pop.n_post, size=int(rng.integers(1, pop.n_post + 1)), replace=False))
+            if rng.random() < 0.5:
+                ref_stdp_on_pre(pop, w, post_trace.copy(), pre_ids)
+                stdp_on_pre(pop, pre_ids, post_trace)
+            else:
+                ref_stdp_on_post(pop, w, pre_trace.copy(), post_ids)
+                stdp_on_post(pop, post_ids, pre_trace)
+            assert np.array_equal(pop.weight, w)
+            assert np.array_equal(np.signbit(pop.weight), np.signbit(w))
+            assert_masked(pop)
+            seen |= set(np.signbit(w[w == 0.0]).tolist())
+    assert seen == {False, True}, "zeros of both signs must occur"
+
+
 def spike_record(rng, n, window, max_spikes, grid=None):
     """Random trains, off any grid or (with `grid`) on a coarse step grid,
     where pre and post spikes often coincide."""

@@ -285,3 +285,51 @@ def test_stdp_trace_of_wrong_length_rejected():
     assert np.array_equal(pop.weight, np.full(6, 600.0))
     stdp_on_pre(pop, [0, 1], np.ones(3))
     stdp_on_post(pop, [0, 1, 2], np.ones(2))
+
+
+def two_by_three():
+    pre, post = connect("all_to_all", 2, 3)
+    return SynapsePopulation(name="p", pre_index=pre, post_index=post,
+                             weight=np.full(6, 600.0), sign="excitatory",
+                             n_pre=2, n_post=3, plasticity=excitatory_stdp())
+
+
+def test_stdp_repeated_ids_rejected():
+    # the ids of one event are distinct; a repeated id would count once
+    pop = two_by_three()
+    with pytest.raises(ValueError, match="repeated pre id"):
+        stdp_on_pre(pop, [0, 0], np.ones(3))
+    with pytest.raises(ValueError, match="repeated post id"):
+        stdp_on_post(pop, [2, 1, 2], np.ones(2))
+    assert np.array_equal(pop.weight, np.full(6, 600.0))
+
+
+def test_stdp_non_integer_ids_rejected():
+    # 0.7 would be truncated to neuron 0
+    pop = two_by_three()
+    with pytest.raises(ValueError, match="integers"):
+        stdp_on_pre(pop, [0.7], np.ones(3))
+    with pytest.raises(ValueError, match="integers"):
+        stdp_on_post(pop, np.array([1.0]), np.ones(2))
+    assert np.array_equal(pop.weight, np.full(6, 600.0))
+    stdp_on_pre(pop, [], np.ones(3))    # an empty event stays a no-op
+    assert np.array_equal(pop.weight, np.full(6, 600.0))
+
+
+def test_stdp_non_finite_trace_rejected():
+    # np.clip keeps a NaN, so it would stay in W
+    pop = two_by_three()
+    with pytest.raises(ValueError, match="non-finite trace"):
+        stdp_on_pre(pop, 0, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="non-finite trace"):
+        stdp_on_post(pop, [0, 2], np.array([np.inf, 0.5]))
+    assert np.array_equal(pop.weight, np.full(6, 600.0))
+
+
+@pytest.mark.parametrize("field", ["A_plus", "A_minus", "W_max"])
+def test_stdp_constants_must_be_finite(field):
+    # a loop checks its weights once; events clipped to a finite band with
+    # finite rates keep them finite after that
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            StdpParams(**{field: bad})

@@ -517,6 +517,35 @@ def test_evaluate_refuses_a_learning_net_before_simulating(monkeypatch, sim, enc
     assert calls == []
 
 
+def test_a_non_finite_weight_is_refused_before_the_first_step(monkeypatch, sim, enc):
+    # the NaN sits on the row of an input neuron that never fires, so no
+    # delivery sums it; the weights are checked once, before the loop
+    net = build_tiny()
+    set_phase1_modes(net)
+    img = np.full((4, 4), 0.8)
+    img[0, 0] = 0.0
+    net.projections["input_feat"].W[0, 1] = np.nan
+    calls = count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="input_feat: spike weight must be finite"):
+        present_image(net, img, sim, enc, plastic=True)
+    assert calls == []
+
+
+def test_a_wrong_signed_weight_is_refused_before_the_readout_steps(monkeypatch, sim, enc):
+    # one negative feat_readout weight: the readout stage refuses it before
+    # its first step, not at the first step whose summed input comes out
+    # negative
+    net = frozen_eval_net(firing_net(3))
+    pop = net.projections["feat_readout"]
+    pop.W[pop.pre_index[0], pop.post_index[0]] = -1.0
+    calls = count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="feat_readout: excitatory delivery with negative weight"):
+        evaluate(net, bright_ds(3), sim, enc)
+    # the lower stages ran, the readout stage did not take a step
+    lower = net.stages[-1][0].start
+    assert calls and all(shape[-1] == lower for shape in calls)
+
+
 def test_stale_rasters_are_refused(sim, enc):
     net = firing_net(6)
     ds = bright_ds(6)
