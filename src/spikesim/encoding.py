@@ -54,10 +54,10 @@ def encode_image(pixels: np.ndarray, enc: EncodingConfig) -> np.ndarray:
 
 def spikes_under_constant_current(params: NeuronParams, I: float, window: float,
                                   dt: float) -> np.ndarray:
-    """Spike times of one neuron driven by DC current I from rest."""
+    """Spike times of one neuron driven by DC current I from rest; a
+    non-finite I raises ValueError."""
     n_steps = int(round(window / dt))
-    step = StepKernel(new_state(1, params), params, np.array([I], dtype=np.float64), dt,
-                      validate=False)
+    step = StepKernel(new_state(1, params), params, np.array([I], dtype=np.float64), dt)
     times = []
     for k in range(n_steps):
         if step().size:

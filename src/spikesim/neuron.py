@@ -258,22 +258,18 @@ class StepKernel:
     threshold decay, refractory countdown, then the spike test at the step end
     (refractory elapsed and V_m >= threshold). Threshold jumps and the
     refractory reload apply after the test, so a spike never suppresses itself.
-    The membrane is not reset on spike.
-
-    `validate=False` skips the finiteness checks of the current and the
-    state, made once here, for loops that have already validated them.
+    The membrane is not reset on spike. The current and the state are
+    checked for finiteness once, here.
     """
 
-    def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float,
-                 validate: bool = True) -> None:
+    def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float) -> None:
         P = propagators(params, dt)
         I = np.asarray(I_ext, dtype=np.float64)
-        if validate:
-            if not np.all(np.isfinite(I)):
-                raise ValueError("non-finite external current")
-            for name in ("V_m", "h1", "h2", "y1_ex", "y2_ex", "y1_in", "y2_in"):
-                if not np.all(np.isfinite(getattr(state, name))):
-                    raise ValueError(f"non-finite neuron state in {name}")
+        if not np.all(np.isfinite(I)):
+            raise ValueError("non-finite external current")
+        for name in ("V_m", "h1", "h2", "y1_ex", "y2_ex", "y1_in", "y2_in"):
+            if not np.all(np.isfinite(getattr(state, name))):
+                raise ValueError(f"non-finite neuron state in {name}")
         self.state = state
         self._drive = params.E_L + P.drive * I
         # as 0-d float64 arrays: numpy converts a Python float operand on
@@ -346,8 +342,7 @@ class StepKernel:
         return ids
 
 
-def step_neuron(state: NeuronState, params: NeuronParams, I_ext, dt: float,
-                validate: bool = True):
+def step_neuron(state: NeuronState, params: NeuronParams, I_ext, dt: float):
     """Advance every neuron by one step of `dt` ms under external current I_ext:
     one call of a StepKernel prepared for it, whose docstring gives the order
     of the step.
@@ -356,10 +351,10 @@ def step_neuron(state: NeuronState, params: NeuronParams, I_ext, dt: float,
     Spikes are stamped with the step's start time.
 
     Every call prepares a kernel: it fetches the propagators, allocates the
-    scratch and, unless `validate=False`, checks the current and the state
-    for finiteness. A simulation loop prepares one StepKernel instead and
-    calls it once per step.
+    scratch and checks the current and the state for finiteness. A
+    simulation loop prepares one StepKernel instead and calls it once per
+    step.
     """
-    kernel = StepKernel(state, params, I_ext, dt, validate)
+    kernel = StepKernel(state, params, I_ext, dt)
     kernel()
     return state, kernel.spiked

@@ -16,13 +16,13 @@ a presentation each synapse receives
                    - sum over (actual, pre) causal pairs of W(t_o - t_i) ]
 
 with the learning window W(s) = A * exp(-s / tau) for s > 0 and exactly 0
-otherwise. A teacher train identical to the actual output train yields exactly
-zero update. Window amplitude A is positive for excitatory projections and
-negative for inhibitory ones.
+otherwise; dw is a change of |w|. A teacher train identical to the actual
+output train yields exactly zero update.
 
-Weight sign discipline: excitatory weights live in [W_min, W_max], inhibitory
-in [-W_max, -W_min] (parameters store magnitudes; the projection's sign picks
-the direction, and "potentiation" always grows |w|).
+One sign rule for both: every parameter is a magnitude (rates, amplitude and
+the band [W_min, W_max]), and the projection's sign alone picks the
+direction. Excitatory weights live in [W_min, W_max], inhibitory in
+[-W_max, -W_min], and "potentiation" always grows |w|.
 
 Every projection stores its weights as one dense (n_pre, n_post) matrix, so
 a pre event updates a row, a post event a column, and the supervised rule
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .neuron import _check_delivery
 from .records import SpikeRecord
 
 SIGNS = ("excitatory", "inhibitory")
@@ -68,36 +69,28 @@ class StdpParams:
 
 @dataclass(frozen=True)
 class ResumeParams:
-    """Supervised-window constants. A carries the projection's sign."""
+    """Supervised-window constants. A and W_max / W_min are magnitudes."""
 
-    A: float = 0.001            # window amplitude (>0 excitatory, <0 inhibitory)
+    A: float = 0.001            # window amplitude per causal pair
     tau: float = 10.0           # window time constant (ms)
     W_max: float = 1200.0       # magnitude bound (pA)
     W_min: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.A, self.tau, self.W_max))):
+            raise ValueError("ReSuMe constants must be finite")
+        if self.A < 0.0:
+            raise ValueError("ReSuMe amplitude A must be non-negative")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
         if not (0.0 <= self.W_min <= self.W_max):
             raise ValueError("need 0 <= W_min <= W_max")
 
 
+# Not used by the package, whose STDP projections take StdpParams(). Kept
+# because the benchmark (perfbench/workloads.py) reads its clip band here.
 def excitatory_stdp() -> StdpParams:
-    """Default excitatory STDP parameter set."""
-    return StdpParams(A_plus=0.001, A_minus=0.0005, W_max=1200.0)
-
-
-def inhibitory_stdp() -> StdpParams:
-    """Default inhibitory STDP parameter set (magnitudes; sign via projection)."""
-    return StdpParams(A_plus=0.001, A_minus=0.0005, W_max=1200.0)
-
-
-def excitatory_resume() -> ResumeParams:
-    return ResumeParams(A=0.001, tau=10.0, W_max=1200.0)
-
-
-def inhibitory_resume() -> ResumeParams:
-    return ResumeParams(A=-0.001, tau=10.0, W_max=1200.0)
+    return StdpParams()
 
 
 class SynapsePopulation:
@@ -166,7 +159,10 @@ class SynapsePopulation:
         if w.ndim and w.shape != self.pre_index.shape:
             raise ValueError(f"{self.name}: expected {self.pre_index.size} weights, "
                              f"got shape {w.shape}")
-        self._check_weights(w)
+        try:
+            _check_delivery(w, self.sign)
+        except ValueError as err:
+            raise ValueError(f"{self.name}: {err}") from None
         self.W[self.pre_index, self.post_index] = w
 
     @property
@@ -179,22 +175,12 @@ class SynapsePopulation:
             return "static"
         return "stdp" if isinstance(self.plasticity, StdpParams) else "resume"
 
-    def _check_weights(self, w: np.ndarray) -> None:
-        if not np.all(np.isfinite(w)):
-            raise ValueError(f"{self.name}: non-finite weight")
-        if self.sign == "excitatory":
-            if w.size and w.min() < 0.0:
-                raise ValueError(f"{self.name}: negative excitatory weight")
-        elif w.size and w.max() > 0.0:
-            raise ValueError(f"{self.name}: positive inhibitory weight")
-
     def _bounds(self) -> tuple[float, float]:
+        """The signed clip band of a plastic projection."""
         p = self.plasticity
-        w_max = p.W_max if p is not None else np.inf
-        w_min = p.W_min if p is not None else 0.0
         if self.sign == "excitatory":
-            return (w_min, w_max)
-        return (-w_max, -w_min)
+            return (p.W_min, p.W_max)
+        return (-p.W_max, -p.W_min)
 
     def summed_input(self, pre_ids: np.ndarray) -> np.ndarray:
         """Total weight onto each post neuron from the given spiking pre
@@ -376,7 +362,8 @@ def stdp_on_post(pop: SynapsePopulation, post_neuron,
 
 
 def resume_window(s, params: ResumeParams) -> np.ndarray | float:
-    """Learning window W(s) = A * exp(-s / tau) for s > 0, exactly 0 otherwise."""
+    """Learning window W(s) = A * exp(-s / tau) for s > 0, exactly 0 otherwise:
+    a magnitude, which the projection's sign turns into a direction."""
     s_arr = np.asarray(s, dtype=np.float64)
     out = np.where(s_arr > 0.0, params.A * np.exp(-s_arr / params.tau), 0.0)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
@@ -425,9 +412,10 @@ def resume_update(pop: SynapsePopulation, teacher_spikes: SpikeRecord,
     pre population. With T the distinct post spike times (teacher or actual),
     Tr[k, i] the causal trace of pre neuron i at T[k] and Y[k, j] the teacher
     minus the actual spikes of post neuron j at T[k], the kernel sums of all
-    causal pairs are S = A * Tr^T Y, exact for times off the dt grid.
-    Identical teacher and actual trains give a zero column of Y and cancel
-    exactly.
+    causal pairs are S = A * Tr^T Y, exact for times off the dt grid; W moves
+    by W_max * S, negated for an inhibitory projection so that a teacher
+    spike grows |w|. Identical teacher and actual trains give a zero column
+    of Y and cancel exactly.
     """
     if pop.mode != "resume":
         raise ValueError(f"{pop.name}: operation requires resume mode, pop is {pop.mode}")
@@ -444,7 +432,10 @@ def resume_update(pop: SynapsePopulation, teacher_spikes: SpikeRecord,
     Y = (_event_counts(t_teach, j_teach, T, pop.n_post)
          - _event_counts(t_act, j_act, T, pop.n_post)).astype(np.float64)
     Tr = _causal_traces(t_pre, i_pre, pop.n_pre, T, p.tau)
-    pop.W += p.W_max * p.A * (Tr.T @ Y)
+    scale = p.W_max * p.A
+    if pop.sign == "inhibitory":
+        scale = -scale
+    pop.W += scale * (Tr.T @ Y)
     _settle(pop.W, *pop._bounds(), pop._off)
     return pop
 

@@ -48,9 +48,8 @@ from .dataio import (Dataset, ImageSample, checkpoint_from_network, save_checkpo
                      write_atomic)
 from .encoding import EncodingConfig, encode_image
 from .neuron import StepKernel, _channel, _check_delivery, _inject, new_state
-from .plasticity import (SIGNS, TAU_TRACE, StdpEvents, excitatory_resume,
-                         excitatory_stdp, freeze, inhibitory_resume, inhibitory_stdp,
-                         resume_update)
+from .plasticity import (SIGNS, TAU_TRACE, ResumeParams, StdpEvents, StdpParams,
+                         freeze, resume_update)
 from .records import SpikeRecord
 from .topology import Layer, NetworkTopology, teacher_train
 
@@ -481,9 +480,8 @@ def _rasters_for(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
 
 def set_phase1_modes(net: NetworkTopology) -> NetworkTopology:
     """STDP on the three lower projections, readout projections static."""
-    net.projections["input_feat"].plasticity = excitatory_stdp()
-    net.projections["feat_inhib"].plasticity = excitatory_stdp()
-    net.projections["inhib_feat"].plasticity = inhibitory_stdp()
+    for name in ("input_feat", "feat_inhib", "inhib_feat"):
+        net.projections[name].plasticity = StdpParams()
     freeze(net.projections["feat_readout"])
     freeze(net.projections["readout_lateral"])
     return net
@@ -493,9 +491,9 @@ def set_phase2_modes(net: NetworkTopology) -> NetworkTopology:
     """Freeze the STDP projections; supervised rule on the readout wiring."""
     for name in ("input_feat", "feat_inhib", "inhib_feat"):
         freeze(net.projections[name])
-    net.projections["feat_readout"].plasticity = excitatory_resume()
+    net.projections["feat_readout"].plasticity = ResumeParams()
     if net.config.train_readout_lateral:
-        net.projections["readout_lateral"].plasticity = inhibitory_resume()
+        net.projections["readout_lateral"].plasticity = ResumeParams()
     else:
         freeze(net.projections["readout_lateral"])
     return net

@@ -22,17 +22,15 @@ import numpy as np
 import pytest
 
 from spikesim import (Dataset, EncodingConfig, NetworkConfig, NeuronParams,
-                      SimulationConfig, SpikeRecord, StdpParams,
+                      ResumeParams, SimulationConfig, SpikeRecord, StdpParams,
                       SynapsePopulation, build_network, evaluate,
                       load_checkpoint, new_state, present_image, run_phase1,
                       run_phase2, save_checkpoint, step_neuron)
 from spikesim.dataio import (apply_checkpoint, checkpoint_from_network,
                              load_cifar10, make_synthetic)
 from spikesim.encoding import spikes_under_constant_current
-from spikesim.plasticity import (TAU_TRACE, decay_traces, excitatory_resume,
-                                 excitatory_stdp, inhibitory_resume,
-                                 inhibitory_stdp, resume_update, stdp_on_pre,
-                                 stdp_on_post)
+from spikesim.plasticity import (TAU_TRACE, decay_traces, resume_update,
+                                 stdp_on_pre, stdp_on_post)
 from spikesim.training import (frozen_eval_net, monte_carlo_weight_search,
                                set_phase1_modes)
 
@@ -78,7 +76,7 @@ def test_c3_stdp_matches_all_pairs_double_sum():
     for case in range(100):
         sign = "excitatory" if case % 2 else "inhibitory"
         w0 = 600.0 if sign == "excitatory" else -600.0
-        plast = excitatory_stdp() if sign == "excitatory" else inhibitory_stdp()
+        plast = StdpParams()
         pop = SynapsePopulation(name="p", pre_index=np.array([0]),
                                 post_index=np.array([0]),
                                 weight=np.array([w0]), sign=sign,
@@ -171,7 +169,7 @@ def test_c4_resume_properties():
         return SpikeRecord([np.asarray(t, dtype=np.float64) for t in trains], WINDOW)
 
     def pair_pop(sign):
-        plast = excitatory_resume() if sign == "excitatory" else inhibitory_resume()
+        plast = ResumeParams()
         w0 = 241.0 if sign == "excitatory" else -120.0
         return SynapsePopulation(name="p", pre_index=np.array([0]),
                                  post_index=np.array([0]),
@@ -187,7 +185,7 @@ def test_c4_resume_properties():
         assert pop.weight[0] == w0
 
     # single causal pair matches A * W_max * exp(-dt/tau) to 1e-12
-    p = excitatory_resume()
+    p = ResumeParams()
     for d in (0.3, 2.0, 9.5, 33.0):
         pop, w0 = pair_pop("excitatory")
         resume_update(pop, rec([[40.0 + d]]), rec([[]]), rec([[40.0]]), WINDOW)

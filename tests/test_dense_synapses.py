@@ -92,7 +92,8 @@ def ref_resume(pop, w, teacher, actual, pre):
             S[:, j] += causal_kernel_sums(pre.times, td, p)
         if to.size:
             S[:, j] -= causal_kernel_sums(pre.times, to, p)
-    w += p.W_max * S[pop.pre_index, pop.post_index]
+    sign = 1.0 if pop.sign == "excitatory" else -1.0
+    w += sign * p.W_max * S[pop.pre_index, pop.post_index]
     np.clip(w, *pop._bounds(), out=w)
 
 
@@ -251,8 +252,7 @@ def spike_record(rng, n, window, max_spikes, grid=None):
 def test_resume_matches_kernel_sums(rule, sign, w_min, grid):
     rng = np.random.default_rng([11, RULES.index(rule), sign == "excitatory", int(w_min)])
     window = 100.0
-    A = 0.01 if sign == "excitatory" else -0.01
-    params = ResumeParams(A=A, tau=10.0, W_min=w_min, W_max=1200.0)
+    params = ResumeParams(A=0.01, tau=10.0, W_min=w_min, W_max=1200.0)
     for _ in range(10):
         pop = random_population(rng, rule, sign, params)
         w = pop.weight.copy()
@@ -273,8 +273,8 @@ def test_resume_matches_kernel_sums(rule, sign, w_min, grid):
 def test_resume_identical_trains_leave_weights_exactly(rule):
     rng = np.random.default_rng([13, RULES.index(rule)])
     window = 100.0
-    for sign, A in (("excitatory", 0.01), ("inhibitory", -0.01)):
-        params = ResumeParams(A=A, tau=10.0, W_min=150.0, W_max=1200.0)
+    for sign in ("excitatory", "inhibitory"):
+        params = ResumeParams(A=0.01, tau=10.0, W_min=150.0, W_max=1200.0)
         pop = random_population(rng, rule, sign, params)
         before = pop.weight.copy()
         train = spike_record(rng, pop.n_post, window, 8)

@@ -27,6 +27,13 @@ def test_endpoints(params):
     assert len(spikes_under_constant_current(params, 0.0, 100.0, 0.1)) == 0
 
 
+@pytest.mark.parametrize("current", [np.nan, np.inf, -np.inf])
+def test_non_finite_current_rejected(params, current):
+    # unchecked, a NaN current would give 0 spikes and an inf one 50
+    with pytest.raises(ValueError, match="non-finite external current"):
+        spikes_under_constant_current(params, current, 100.0, 0.1)
+
+
 def test_monotone_grid(params):
     counts = [len(spikes_under_constant_current(params, p * I_K_DEFAULT, 100.0, 0.1))
               for p in np.arange(0.0, 1.01, 0.1)]

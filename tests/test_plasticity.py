@@ -6,10 +6,8 @@ import pytest
 
 from spikesim import SpikeRecord, SynapsePopulation
 from spikesim.plasticity import (TAU_TRACE, StdpParams, ResumeParams,
-                                 decay_traces, excitatory_resume,
-                                 excitatory_stdp, freeze, inhibitory_resume,
-                                 inhibitory_stdp, resume_update, resume_window,
-                                 stdp_on_pre, stdp_on_post)
+                                 decay_traces, freeze, resume_update,
+                                 resume_window, stdp_on_pre, stdp_on_post)
 from spikesim.topology import connect
 
 DT = 0.1
@@ -76,8 +74,7 @@ def test_stdp_equals_all_pairs_double_sum():
     for case in range(100):
         sign = "excitatory" if case % 3 else "inhibitory"
         w0 = 600.0 if sign == "excitatory" else -600.0
-        pop = make_pair(sign, w0, excitatory_stdp() if sign == "excitatory"
-                        else inhibitory_stdp())
+        pop = make_pair(sign, w0, StdpParams())
         pre = random_train_steps(rng, 100, n_steps)
         post = random_train_steps(rng, 100, n_steps)
         replay_trace_stdp(pop, pre, post)
@@ -89,14 +86,14 @@ def test_stdp_equals_all_pairs_double_sum():
 
 def test_coincident_pair_potentiates():
     # same-step pre and post: pre first, so the pair lands at delta t = 0
-    pop = make_pair("excitatory", 600.0, excitatory_stdp())
+    pop = make_pair("excitatory", 600.0, StdpParams())
     pair_step(pop, np.zeros(2), True, True)
     p = pop.plasticity
     assert pop.weight[0] == pytest.approx(600.0 + p.A_plus * p.W_max, abs=1e-12)
 
 
 def test_post_before_pre_depresses():
-    pop = make_pair("excitatory", 600.0, excitatory_stdp())
+    pop = make_pair("excitatory", 600.0, StdpParams())
     p = pop.plasticity
     trace = np.zeros(2)
     pair_step(pop, trace, False, True)
@@ -107,7 +104,7 @@ def test_post_before_pre_depresses():
 
 
 def test_inhibitory_potentiation_grows_magnitude():
-    pop = make_pair("inhibitory", -100.0, inhibitory_stdp())
+    pop = make_pair("inhibitory", -100.0, StdpParams())
     pair_step(pop, np.zeros(2), True, True)
     assert pop.weight[0] < -100.0
 
@@ -132,13 +129,11 @@ def test_clipping_saturates_at_bounds():
     assert pop.weight[0] == -1200.0
 
 
-def test_table_parameter_factories():
-    e, i = excitatory_stdp(), inhibitory_stdp()
-    for p in (e, i):
-        assert (p.A_plus, p.A_minus, TAU_TRACE, p.W_max) == (0.001, 0.0005, 10.0, 1200.0)
-    re, ri = excitatory_resume(), inhibitory_resume()
-    assert (re.A, re.tau, re.W_max) == (0.001, 10.0, 1200.0)
-    assert (ri.A, ri.tau, ri.W_max) == (-0.001, 10.0, 1200.0)
+def test_table_parameter_defaults():
+    p = StdpParams()
+    assert (p.A_plus, p.A_minus, TAU_TRACE, p.W_max) == (0.001, 0.0005, 10.0, 1200.0)
+    r = ResumeParams()
+    assert (r.A, r.tau, r.W_max) == (0.001, 10.0, 1200.0)
 
 
 def test_stdp_requires_stdp_mode():
@@ -155,7 +150,7 @@ def rec(times, window=100.0):
 
 
 def test_resume_window_closed_form():
-    p = excitatory_resume()
+    p = ResumeParams()
     rng = np.random.default_rng(9)
     s = rng.uniform(-50.0, 50.0, size=1000)
     w = resume_window(s, p)
@@ -171,25 +166,30 @@ def test_resume_identical_trains_cancel_exactly():
     for _ in range(20):
         t = np.unique(rng.uniform(0.0, 100.0, size=rng.integers(0, 20)))
         pre = np.unique(rng.uniform(0.0, 100.0, size=10))
-        pop = make_pair("excitatory", 241.0, excitatory_resume())
+        pop = make_pair("excitatory", 241.0, ResumeParams())
         before = pop.weight.copy()
         resume_update(pop, rec([t]), rec([t]), rec([pre]), 100.0)
         assert np.array_equal(pop.weight, before)
 
 
 def test_resume_single_pair_closed_form():
-    p = excitatory_resume()
+    p = ResumeParams()
     for d in (0.5, 3.0, 10.0, 40.0):
-        pop = make_pair("excitatory", 241.0, excitatory_resume())
+        pop = make_pair("excitatory", 241.0, p)
         resume_update(pop, rec([[20.0 + d]]), rec([[]]), rec([[20.0]]), 100.0)
         assert pop.weight[0] == pytest.approx(
             241.0 + p.W_max * p.A * np.exp(-d / p.tau), abs=1e-12)
+        # the same amplitude grows an inhibitory weight's magnitude
+        pop = make_pair("inhibitory", -120.0, p)
+        resume_update(pop, rec([[20.0 + d]]), rec([[]]), rec([[20.0]]), 100.0)
+        assert pop.weight[0] == pytest.approx(
+            -120.0 - p.W_max * p.A * np.exp(-d / p.tau), abs=1e-12)
     # teacher before the pre spike contributes nothing
-    pop = make_pair("excitatory", 241.0, excitatory_resume())
+    pop = make_pair("excitatory", 241.0, ResumeParams())
     resume_update(pop, rec([[10.0]]), rec([[]]), rec([[20.0]]), 100.0)
     assert pop.weight[0] == 241.0
     # coincident pre and teacher: window is 0 at s = 0
-    pop = make_pair("excitatory", 241.0, excitatory_resume())
+    pop = make_pair("excitatory", 241.0, ResumeParams())
     resume_update(pop, rec([[20.0]]), rec([[]]), rec([[20.0]]), 100.0)
     assert pop.weight[0] == 241.0
 
@@ -207,7 +207,7 @@ def test_resume_sign_contract_random_sweep():
             teacher, actual, direction = [[]], [spikes], -1.0
         sign = "excitatory" if rng.random() < 0.5 else "inhibitory"
         w0 = 241.0 if sign == "excitatory" else -120.0
-        plast = excitatory_resume() if sign == "excitatory" else inhibitory_resume()
+        plast = ResumeParams()
         pop = SynapsePopulation(
             name="p", pre_index=np.arange(n_pre),
             post_index=np.zeros(n_pre, dtype=np.int64),
@@ -224,7 +224,7 @@ def test_resume_sign_contract_random_sweep():
 
 
 def test_resume_requires_matching_record_sizes():
-    pop = make_pair("excitatory", 241.0, excitatory_resume())
+    pop = make_pair("excitatory", 241.0, ResumeParams())
     with pytest.raises(ValueError):
         resume_update(pop, rec([[], []]), rec([[]]), rec([[]]), 100.0)
     with pytest.raises(ValueError):
@@ -232,7 +232,7 @@ def test_resume_requires_matching_record_sizes():
 
 
 def test_resume_requires_resume_mode():
-    pop = make_pair("excitatory", 600.0, excitatory_stdp())
+    pop = make_pair("excitatory", 600.0, StdpParams())
     with pytest.raises(ValueError):
         resume_update(pop, rec([[]]), rec([[]]), rec([[]]), 100.0)
 
@@ -241,7 +241,7 @@ def test_resume_requires_resume_mode():
 
 
 def test_freeze_preserves_weights_and_is_idempotent():
-    pop = make_pair("excitatory", 600.0, excitatory_stdp())
+    pop = make_pair("excitatory", 600.0, StdpParams())
     pair_step(pop, np.zeros(2), True, True)
     w = pop.weight.copy()
     freeze(pop)
@@ -263,7 +263,7 @@ def test_population_sign_validation():
 
 
 def test_stdp_ids_out_of_range_rejected():
-    pop = make_pair("excitatory", 600.0, excitatory_stdp())
+    pop = make_pair("excitatory", 600.0, StdpParams())
     with pytest.raises(IndexError):
         stdp_on_pre(pop, 3, np.zeros(1))
     with pytest.raises(IndexError):
@@ -275,7 +275,7 @@ def test_stdp_trace_of_wrong_length_rejected():
     pre, post = connect("all_to_all", 2, 3)
     pop = SynapsePopulation(name="p", pre_index=pre, post_index=post,
                             weight=np.full(6, 600.0), sign="excitatory",
-                            n_pre=2, n_post=3, plasticity=excitatory_stdp())
+                            n_pre=2, n_post=3, plasticity=StdpParams())
     for bad in (np.ones(2), np.ones(4), np.ones((1, 3)), np.ones(())):
         with pytest.raises(ValueError, match="trace"):
             stdp_on_pre(pop, 0, bad)
@@ -291,7 +291,7 @@ def two_by_three():
     pre, post = connect("all_to_all", 2, 3)
     return SynapsePopulation(name="p", pre_index=pre, post_index=post,
                              weight=np.full(6, 600.0), sign="excitatory",
-                             n_pre=2, n_post=3, plasticity=excitatory_stdp())
+                             n_pre=2, n_post=3, plasticity=StdpParams())
 
 
 def test_stdp_repeated_ids_rejected():
@@ -324,6 +324,21 @@ def test_stdp_non_finite_trace_rejected():
     with pytest.raises(ValueError, match="non-finite trace"):
         stdp_on_post(pop, [0, 2], np.array([np.inf, 0.5]))
     assert np.array_equal(pop.weight, np.full(6, 600.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["A", "tau", "W_max"])
+def test_resume_constants_must_be_finite(field, bad):
+    # a finite band and amplitude keep a settled W finite
+    with pytest.raises(ValueError, match="ReSuMe constants must be finite"):
+        ResumeParams(**{field: bad})
+
+
+def test_resume_amplitude_is_a_magnitude():
+    # the projection's sign is the only sign: a negative A would turn the
+    # rule around on one projection but not the other
+    with pytest.raises(ValueError, match="must be non-negative"):
+        ResumeParams(A=-0.001)
 
 
 @pytest.mark.parametrize("field", ["A_plus", "A_minus", "W_max"])
