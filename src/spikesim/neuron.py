@@ -30,7 +30,8 @@ unchecked arithmetic that deliver_spike runs after its per-call checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +40,14 @@ import numpy as np
 # emission gate against float dust from repeated dt subtraction; it is orders of
 # magnitude below any sane dt.
 REFRACTORY_EPS = 1e-9
+
+
+def _require_finite(config) -> None:
+    """Refuse a config dataclass with a non-finite number in any field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,14 +71,12 @@ class NeuronParams:
     omega: float = -51.0        # resting threshold (mV)
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("C_m", "tau_m", "tau_syn_ex", "tau_syn_in", "tau1", "tau2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.t_ref < 0.0:
             raise ValueError(f"t_ref must be non-negative, got {self.t_ref}")
-        for name in ("E_L", "alpha1", "alpha2", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
     @property
     def R(self) -> float:

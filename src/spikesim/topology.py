@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .neuron import NeuronParams
+from .neuron import NeuronParams, _require_finite
 from .plasticity import SynapsePopulation
 
 PROJECTION_ORDER = ("input_feat", "feat_inhib", "inhib_feat",
@@ -107,6 +107,7 @@ class NetworkConfig:
     train_readout_lateral: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be positive")
         if self.n_classes < 1 or self.neurons_per_class < 1:
@@ -318,7 +319,8 @@ def teacher_train(window: float, rate_target: int, dt: float) -> np.ndarray:
     """Evenly spaced teacher spike times at the calibrated maximum rate.
 
     `rate_target` spikes spread over the window at (i + 0.5) * window / target,
-    snapped to the dt grid; all times are inside [0, window). During a
+    snapped to the dt grid; all times are inside [0, window), and a rate whose
+    snapped times would not be strictly increasing is refused. During a
     presentation only the teacher of the presented class emits this train; the
     other teachers stay silent.
     """
@@ -328,5 +330,8 @@ def teacher_train(window: float, rate_target: int, dt: float) -> np.ndarray:
     if spacing < dt:
         raise ValueError(f"teacher rate {rate_target}/{window} ms finer than dt={dt}")
     times = (np.arange(rate_target) + 0.5) * spacing
-    times = np.round(times / dt) * dt
-    return np.minimum(times, window - dt)
+    times = np.minimum(np.round(times / dt) * dt, window - dt)
+    if not (np.diff(times) > 0.0).all():
+        raise ValueError(f"teacher rate {rate_target}/{window} ms: spike times "
+                         f"collide once snapped to dt={dt}")
+    return times

@@ -14,8 +14,10 @@ search, evaluation) an image's lower-stage spikes depend on the image alone.
 Those calls simulate the lower stages once per image, CHUNK images at a time
 with state shaped (images, neurons), keep each image's raster for the rest
 of the call, and replay its feature spikes into the readout stage, which
-evaluation also runs batched. Phase 1 runs every stage for one image at a
-time, since STDP writes the weights on every spiking step. One step loop,
+evaluation also runs batched. Each such call builds its own raster set
+(`_Rasters`) and passes it on; the weight search builds one and hands it to
+each trial's training and scoring. Phase 1 runs every stage for one image at
+a time, since STDP writes the weights on every spiking step. One step loop,
 `_simulate`, serves all of these, and each image's result is bit-identical
 to a presentation that simulates the whole network alone.
 
@@ -34,12 +36,11 @@ shuffle seed is supplied (per-epoch order then derives statelessly from
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,8 @@ import numpy as np
 from .dataio import (Dataset, ImageSample, checkpoint_from_network, save_checkpoint,
                      write_atomic)
 from .encoding import EncodingConfig, encode_image
-from .neuron import StepKernel, _channel, _check_delivery, _inject, new_state
+from .neuron import (StepKernel, _channel, _check_delivery, _inject, _require_finite,
+                     new_state)
 from .plasticity import (SIGNS, TAU_TRACE, ResumeParams, StdpEvents, StdpParams,
                          freeze, resume_update)
 from .records import SpikeRecord
@@ -76,6 +78,7 @@ class SimulationConfig:
     shuffle_seed: int | None = None  # None = fixed dataset order
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         n = round(self.window / self.dt)
@@ -383,46 +386,27 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
 
 
 class _Rasters:
-    """The lower-stage rasters of one dataset's images, for one call.
+    """The lower-stage rasters of one dataset's images under `net`, for the
+    call that makes them and hands them on.
 
     Made a chunk at a time, CHUNK images per batched pass, when an image is
     first presented, and kept while their bytes stay within RASTER_BYTES.
+    They hold for the lower weights of `net`, which the readout stage's
+    training leaves alone, so a copy of `net` that differs only in its
+    readout projections replays them too.
     """
 
-    def __init__(self, dataset: Dataset, sim: SimulationConfig, enc: EncodingConfig) -> None:
-        self.dataset, self.sim, self.enc = dataset, sim, enc
-        self.key: bytes | None = None     # set by shared()
+    def __init__(self, net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
+                 enc: EncodingConfig) -> None:
+        self.net, self.dataset, self.sim, self.enc = net, dataset, sim, enc
         self.kept: dict[int, Raster] = {}
         self.bytes = 0
         self.built = 0          # lower-stage passes, one per image
         self.replayed = 0       # presentations served from a raster
 
-    @staticmethod
-    def _key(net: NetworkTopology, sim: SimulationConfig, enc: EncodingConfig) -> bytes:
-        lower_stop = net.stages[_readout_stage(net)][0].start
-        h = hashlib.blake2b(repr((net.config.fingerprint(), net.params, sim.dt,
-                                  sim.n_steps, enc)).encode(), digest_size=16)
-        for pop in net.ordered_projections():
-            if net.wiring[pop.name][1].stop <= lower_stop:
-                h.update(pop.W.tobytes())
-        return h.digest()
-
-    def shared(self, net: NetworkTopology) -> "_RasterDataset":
-        """The dataset bringing these rasters, for several calls to share.
-        They hold only for the lower weights, neuron parameters, clock and
-        encoding of `net`, and `check` refuses any other network."""
-        self.key = self._key(net, self.sim, self.enc)
-        d = self.dataset
-        return _RasterDataset(samples=d.samples, n_classes=d.n_classes,
-                              class_names=d.class_names, rasters=self)
-
-    def check(self, net: NetworkTopology, sim: SimulationConfig, enc: EncodingConfig) -> None:
-        if self._key(net, sim, enc) != self.key:
-            raise ValueError("the frozen lower stages changed since their rasters were made")
-
-    def chunks(self, net: NetworkTopology, order) -> Iterator[list[tuple[int, Raster]]]:
+    def chunks(self, order) -> Iterator[list[tuple[int, Raster]]]:
         """The (index, raster) pairs of `order`, CHUNK at a time."""
-        order = [int(i) for i in order]
+        net, order = self.net, [int(i) for i in order]
         top = _readout_stage(net)
         for at in range(0, len(order), CHUNK):
             part = order[at:at + CHUNK]
@@ -440,9 +424,9 @@ class _Rasters:
             self.replayed += len(part)
             yield [(i, self.kept[i] if i in self.kept else made[i]) for i in part]
 
-    def samples(self, net: NetworkTopology, order) -> Iterator[_Replay]:
+    def samples(self, order) -> Iterator[_Replay]:
         """The samples of `order`, each carrying its raster."""
-        for chunk in self.chunks(net, order):
+        for chunk in self.chunks(order):
             for i, raster in chunk:
                 s = self.dataset[i]
                 yield _Replay(pixels=s.pixels, label=s.label, source_id=s.source_id,
@@ -454,25 +438,6 @@ class _Rasters:
         logger.info("%s: %d lower-stage rasters built, %d presentations replayed, "
                     "%d bytes of rasters held", what, self.built - since[0],
                     self.replayed - since[1], self.bytes)
-
-
-@dataclass
-class _RasterDataset(Dataset):
-    """A dataset that brings the rasters of its images, to share them
-    across the calls of one weight search."""
-
-    rasters: _Rasters | None = None
-
-
-def _rasters_for(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
-                 enc: EncodingConfig) -> _Rasters:
-    """The rasters a call replays: those the dataset brings, checked against
-    the network, or a new set that lives as long as the call."""
-    rasters = getattr(dataset, "rasters", None)
-    if rasters is None:
-        return _Rasters(dataset, sim, enc)
-    rasters.check(net, sim, enc)
-    return rasters
 
 
 # -- phase orchestration -----------------------------------------------------
@@ -584,14 +549,14 @@ def run_phase1(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                        start_presentation)
 
 
-def _teacher_record(net: NetworkTopology, label: int, sim: SimulationConfig,
-                    enc: EncodingConfig) -> SpikeRecord:
-    """Teacher spikes for the readout layer: the presented class's group gets
-    the max-rate train, every other neuron stays silent."""
+def _teacher_records(net: NetworkTopology, sim: SimulationConfig,
+                     enc: EncodingConfig) -> list[SpikeRecord]:
+    """Teacher spikes for the readout layer, one record per class: that
+    class's group gets the max-rate train, every other neuron stays silent."""
     train = teacher_train(sim.window, enc.target, sim.dt)
-    times = [train if net.class_of[i] == label else np.empty(0)
-             for i in range(net.readout_layer.size)]
-    return SpikeRecord(times, sim.window)
+    return [SpikeRecord([train if c == label else np.empty(0) for c in net.class_of],
+                        sim.window)
+            for label in range(net.config.n_classes)]
 
 
 def check_labels(net: NetworkTopology, dataset: Dataset) -> None:
@@ -619,8 +584,16 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
     The frozen lower stages of each image are simulated once, and their
     raster replayed into the readout in every epoch."""
     check_labels(net, dataset)
+    return _train_readout(net, _Rasters(net, dataset, sim, enc), sim.epochs_phase2,
+                          out_dir, start_presentation)
+
+
+def _train_readout(net: NetworkTopology, rasters: _Rasters, epochs: int,
+                   out_dir: str | Path | None, start_presentation: int) -> PhaseResult:
+    """`epochs` of phase 2 over the dataset of `rasters`, replaying them."""
+    sim, enc = rasters.sim, rasters.enc
     set_phase2_modes(net)
-    rasters = _rasters_for(net, dataset, sim, enc)
+    teachers = _teacher_records(net, sim, enc)
     since = rasters.built, rasters.replayed
     p4 = net.projections["feat_readout"]
     p5 = net.projections["readout_lateral"]
@@ -629,7 +602,7 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
     def step(sample: ImageSample) -> bool:
         # frozen presentations ignore modes: classify() on a frozen copy agrees
         record = present_image(net, sample, sim, enc, plastic=False)
-        teacher = _teacher_record(net, sample.label, sim, enc)
+        teacher = teachers[sample.label]
         actual = record.subset(readout.start, readout.stop)
         predicted, _, _ = _predict(net, actual.counts())
         pre = record.subset(feat.start, feat.stop)
@@ -638,8 +611,8 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
             resume_update(p5, teacher, actual, actual, sim.window)
         return predicted == sample.label
 
-    result = _run_epochs(net, dataset, sim, 2, sim.epochs_phase2, step, out_dir,
-                         start_presentation, lambda order: rasters.samples(net, order))
+    result = _run_epochs(net, rasters.dataset, sim, 2, epochs, step, out_dir,
+                         start_presentation, rasters.samples)
     rasters.log("phase 2", since)
     return result
 
@@ -676,24 +649,27 @@ def classify(net: NetworkTopology, img, sim: SimulationConfig,
                                           net.readout_layer.stop).counts())
 
 
-def _classify_all(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
-                  enc: EncodingConfig) -> list[ClassificationResult]:
-    """classify() of every sample, the readout stage run CHUNK images at a
-    time on the replayed lower-stage rasters."""
-    rasters = _rasters_for(net, dataset, sim, enc)
+def _classify_all(net: NetworkTopology, rasters: _Rasters) -> list[ClassificationResult]:
+    """classify() of every sample of the dataset of `rasters`, the readout
+    stage run CHUNK images at a time on the replayed lower-stage rasters."""
     since = rasters.built, rasters.replayed
     top = _readout_stage(net)
     start = net.stages[top][0].start
     readout = net.readout_layer
     results = []
-    for chunk in rasters.chunks(net, range(len(dataset))):
+    for chunk in rasters.chunks(range(len(rasters.dataset))):
         zero = np.zeros((len(chunk), net.n_neurons - start))
-        for raster in _simulate(net, sim, top, top + 1, zero, [r for _, r in chunk]):
+        for raster in _simulate(net, rasters.sim, top, top + 1, zero, [r for _, r in chunk]):
             ids = raster.ids
             inside = ids[(ids >= readout.start) & (ids < readout.stop)] - readout.start
             results.append(_classified(net, np.bincount(inside, minlength=readout.size)))
     rasters.log("evaluation", since)
     return results
+
+
+def _correct(results: list[ClassificationResult], dataset: Dataset) -> np.ndarray:
+    """Per sample, whether its prediction matches its label."""
+    return np.array([r.predicted for r in results], dtype=np.int64) == dataset.labels()
 
 
 def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
@@ -703,11 +679,9 @@ def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
         raise ValueError("cannot evaluate an empty dataset")
     _require_static(net)
     check_labels(net, dataset)
-    results = _classify_all(net, dataset, sim, enc)
+    results = _classify_all(net, _Rasters(net, dataset, sim, enc))
     labels = dataset.labels()
-    predicted = np.array([r.predicted for r in results], dtype=np.int64)
-    ties = sum(r.tie for r in results)
-    correct = predicted == labels
+    correct = _correct(results, dataset)
     class_ids = np.flatnonzero(np.bincount(labels, minlength=dataset.n_classes))
     per_class = np.array([correct[labels == c].mean() for c in class_ids])
     n_per_class = np.array([(labels == c).sum() for c in class_ids])
@@ -720,7 +694,7 @@ def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
         mean_class=float(per_class.mean()),
         std_class=float(per_class.std()),
         n_samples=len(dataset),
-        ties=ties,
+        ties=sum(r.tie for r in results),
     )
 
 
@@ -737,7 +711,8 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
     weight to the candidate, trains one phase-2 epoch on eval_subset, and
     scores accuracy on eval_subset with frozen weights. Ties pick the smaller
     weight. Deterministic for a given seed. The trials differ only in
-    feat_readout, so the lower stages run once per image for all of them.
+    feat_readout, so one raster set, built here, serves every trial's
+    training and scoring: the lower stages run once per image for all of them.
     """
     lo, hi = candidates
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
@@ -746,20 +721,21 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
         raise ValueError("trials must be >= 1")
     if len(eval_subset) == 0:
         raise ValueError("eval_subset must not be empty")
+    check_labels(net, eval_subset)
     rng = np.random.default_rng(seed)
     weights = rng.uniform(lo, hi, trials)
-    sim_one = replace(sim, epochs_phase2=1)
-    subset = _Rasters(eval_subset, sim, enc).shared(net)
+    rasters = _Rasters(net, eval_subset, sim, enc)
     results: list[Trial] = []
     for i, w in enumerate(weights):
         candidate = net.copy()
         candidate.projections["feat_readout"].weight = w
-        run_phase2(candidate, subset, sim_one, enc, out_dir=None)
-        report = evaluate(frozen_eval_net(candidate), subset, sim, enc)
-        results.append(Trial(weight=float(w), accuracy=report.overall))
+        _train_readout(candidate, rasters, 1, None, 0)
+        accuracy = float(_correct(_classify_all(frozen_eval_net(candidate), rasters),
+                                  eval_subset).mean())
+        results.append(Trial(weight=float(w), accuracy=accuracy))
         logger.info("weight search trial %d/%d: w=%.3f acc=%.4f",
-                    i + 1, trials, w, report.overall)
-    subset.rasters.log("weight search")
+                    i + 1, trials, w, accuracy)
+    rasters.log("weight search")
     best_acc = max(t.accuracy for t in results)
     best_weight = min(t.weight for t in results if t.accuracy == best_acc)
     return SearchResult(best_weight=best_weight, trials=results)

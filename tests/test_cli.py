@@ -1,6 +1,8 @@
 """Command-line interface: the full train/search/test flow on a tiny network,
 config handling, manifests, and exit codes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,22 @@ def test_infinite_ik_is_a_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     assert "I_K" in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest_phase1.txt").exists()
+
+
+# (config key, field name) of every float field of the three config classes
+FLOAT_KEYS = [(prefix + f.name, f.name)
+              for cls, prefix in ((NetworkConfig, ""), (SimulationConfig, ""),
+                                  (NeuronParams, "neuron_"))
+              for f in fields(cls) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("key, name", FLOAT_KEYS, ids=[k for k, _ in FLOAT_KEYS])
+def test_non_finite_config_float_is_a_config_error(tmp_path, capsys, key, name):
+    cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, **{key: "inf"})
+    assert main(["train", "--phase", "1", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("bad", [["--trials", "0"], ["--lo", "600", "--hi", "50"],

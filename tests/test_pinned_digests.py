@@ -3,7 +3,8 @@
 Each test runs a small, fixed workload and compares a blake2b digest of its
 outputs with a pin. The pins were computed before the neuron step was
 prepared once per simulation loop (commit d42e297), so they hold the engine
-to every bit of the arithmetic it had then.
+to every bit of the arithmetic it had then. The weight search's pin was
+computed at commit 67b10f4, before the search built its own raster set.
 
 A change that reorders float operations on purpose (and so moves a few ulps)
 must update these pins in the same change and report the largest |dw| it
@@ -20,10 +21,11 @@ from spikesim import (Dataset, ImageSample, NetworkConfig, SimulationConfig,
                       build_network, evaluate, present_image, run_phase1, run_phase2)
 from spikesim import training
 from spikesim.topology import PROJECTION_ORDER
-from spikesim.training import frozen_eval_net
+from spikesim.training import frozen_eval_net, monte_carlo_weight_search
 
 PHASE1_WEIGHTS = "ea66151f03d77bfb02e149971b08bf30"
 PHASE2_OUTPUTS = "2649dacccd1ff912483c523cc79bc8b9"
+WEIGHT_SEARCH = "51661a0dbbfed839395c8f128c1698b3"
 
 
 def firing_net(seed):
@@ -69,7 +71,7 @@ def test_phase2_and_evaluation_outputs_are_pinned(enc):
     # every neuron's spike train of each image, simulated whole
     rasters = [t for sample in ds for t in present_image(frozen, sample, sim, enc).times]
     # the batched replay of the readout that evaluation runs
-    results = training._classify_all(frozen, ds, sim, enc)
+    results = training._classify_all(frozen, training._Rasters(frozen, ds, sim, enc))
     predictions = [np.array([r.predicted, r.tie], dtype=np.int64) for r in results]
     counts = [r.neuron_counts for r in results]
     report = evaluate(frozen, ds, sim, enc)
@@ -77,3 +79,12 @@ def test_phase2_and_evaluation_outputs_are_pinned(enc):
     assert report.overall == pytest.approx(np.mean([r.predicted == s.label
                                                     for r, s in zip(results, ds)]))
     assert digest(weights(net) + rasters + predictions + counts) == PHASE2_OUTPUTS
+
+
+def test_weight_search_is_pinned(enc):
+    # five trials on the untrained firing net: three tie at the best accuracy,
+    # so the pin covers the tie-break to the smallest weight too
+    result = monte_carlo_weight_search(firing_net(5), (50.0, 600.0), 5, bright_ds(5, 6),
+                                       SimulationConfig(), enc, seed=5)
+    trials = np.array([[t.weight, t.accuracy] for t in result.trials])
+    assert digest([trials, np.array([result.best_weight])]) == WEIGHT_SEARCH

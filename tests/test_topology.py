@@ -151,6 +151,18 @@ def test_teacher_train_spacing():
         teacher_train(100.0, 0, 0.1)
 
 
+def test_teacher_train_refuses_colliding_snapped_times():
+    # 1,000 spikes in 100 ms at dt = 0.1: the (i + 0.5) * 0.1 ms times are
+    # grid half-points, rounding sends ties to even, and only 578 stay distinct
+    with pytest.raises(ValueError, match=r"teacher rate 1000/100.0 ms.*collide.*dt=0.1"):
+        teacher_train(100.0, 1000, 0.1)
+    # 999 spikes snap to distinct times, the same ones as before the check
+    t = teacher_train(100.0, 999, 0.1)
+    times = (np.arange(999) + 0.5) * (100.0 / 999)
+    assert np.array_equal(t, np.minimum(np.round(times / 0.1) * 0.1, 100.0 - 0.1))
+    assert t.size == 999 and (np.diff(t) > 0.0).all()
+
+
 def test_wiring_table_names_each_projections_layers():
     net = build_network(NetworkConfig(rows=4, cols=4, n_classes=2, neurons_per_class=2))
     expected = {"input_feat": ("input", "feature"), "feat_inhib": ("feature", "inhib"),

@@ -431,7 +431,7 @@ def test_replayed_presentation_equals_full_presentation(sim, enc, seed):
     net = firing_net(seed)
     set_phase2_modes(net)
     ds = bright_ds(seed)
-    replays = list(training._Rasters(ds, sim, enc).samples(net, range(len(ds))))
+    replays = list(training._Rasters(net, ds, sim, enc).samples(range(len(ds))))
     for sample, replay in zip(ds, replays):
         full = present_image(net, sample, sim, enc)
         assert present_image(net, replay, sim, enc) == full
@@ -445,7 +445,7 @@ def test_batched_evaluate_equals_classify(monkeypatch, sim, enc, seed):
     net.projections["feat_readout"].weight = np.random.default_rng(seed).uniform(
         100.0, 400.0, net.projections["feat_readout"].n_connections)
     ds = bright_ds(seed)
-    batched = training._classify_all(net, ds, sim, enc)
+    batched = training._classify_all(net, training._Rasters(net, ds, sim, enc))
     single = [classify(net, s, sim, enc) for s in ds]
     for a, b in zip(batched, single, strict=True):
         assert (a.predicted, a.tie) == (b.predicted, b.tie)
@@ -488,7 +488,7 @@ def test_readout_starts_at_first_input_only_from_rest(monkeypatch, sim, enc, E_L
     params = replace(build_tiny().params, E_L=E_L)
     net = build_network(firing_net(5).config, params)
     ds = bright_ds(5, n=2)
-    replays = list(training._Rasters(ds, sim, enc).samples(net, range(2)))
+    replays = list(training._Rasters(net, ds, sim, enc).samples(range(2)))
     late = training.Raster(np.array([net.feature_layer.start], dtype=np.int32),
                            np.repeat(np.array([0, 1], dtype=np.int32), [101, sim.n_steps - 100]))
     replays.append(replace(replays[0], raster=late))
@@ -506,6 +506,14 @@ def test_readout_starts_at_first_input_only_from_rest(monkeypatch, sim, enc, E_L
         assert all(t.size and t[0] == 0.0 for t in readout.times)
     for sample, record in zip(ds, records):
         assert record == present_image(net, sample, sim, enc)
+
+
+def test_colliding_teacher_times_are_refused_before_the_first_step(monkeypatch, sim):
+    # 1,000 teacher spikes in 100 ms snap onto only 578 distinct 0.1 ms steps
+    calls = count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="collide"):
+        run_phase2(firing_net(3), bright_ds(3), sim, EncodingConfig(I_K=I_K_DEFAULT, target=1000))
+    assert calls == []
 
 
 def test_evaluate_refuses_a_learning_net_before_simulating(monkeypatch, sim, enc):
@@ -546,21 +554,6 @@ def test_a_wrong_signed_weight_is_refused_before_the_readout_steps(monkeypatch, 
     assert calls and all(shape[-1] == lower for shape in calls)
 
 
-def test_stale_rasters_are_refused(sim, enc):
-    net = firing_net(6)
-    ds = bright_ds(6)
-    shared = training._Rasters(ds, sim, enc).shared(net)
-    run_phase2(net, shared, sim, enc)
-    evaluate(frozen_eval_net(net), shared, sim, enc)
-    w = net.projections["inhib_feat"].weight.copy()
-    w[0] *= 0.5
-    net.projections["inhib_feat"].weight = w
-    with pytest.raises(ValueError, match="lower stages changed"):
-        evaluate(frozen_eval_net(net), shared, sim, enc)
-    with pytest.raises(ValueError, match="lower stages changed"):
-        run_phase2(net, shared, sim, enc)
-
-
 def test_each_frozen_call_logs_its_rasters(caplog, sim, enc):
     net = firing_net(7)
     ds = bright_ds(7)
@@ -574,3 +567,19 @@ def test_each_frozen_call_logs_its_rasters(caplog, sim, enc):
     assert lines[1].startswith("evaluation: 0 lower-stage rasters built, 7 presentations")
     assert lines[-1].startswith("weight search: 7 lower-stage rasters built, "
                                 "42 presentations replayed")
+
+
+def test_each_search_trial_equals_the_trial_run_by_hand(sim, enc):
+    # the search shares one raster set across its trials; each trial must
+    # still equal one phase-2 epoch and an evaluation through the public
+    # calls, on a fresh copy of the network and a plain dataset
+    net = firing_net(5)
+    ds = bright_ds(5, n=6)
+    result = monte_carlo_weight_search(net, (50.0, 600.0), 5, ds, sim, enc, seed=5)
+    one = replace(sim, epochs_phase2=1)
+    for trial in result.trials:
+        candidate = net.copy()
+        candidate.projections["feat_readout"].weight = trial.weight
+        run_phase2(candidate, ds, one, enc)
+        assert evaluate(frozen_eval_net(candidate), ds, sim, enc).overall == trial.accuracy
+    assert len({t.accuracy for t in result.trials}) > 1, "the trials must differ"
