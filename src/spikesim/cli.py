@@ -189,8 +189,7 @@ def cmd_train(args) -> int:
             start = ckpt.presentations
         elif ckpt.phase == 1 and args.phase == 2:
             # phase handoff: only the feature-path weights carry over
-            apply_checkpoint(net, ckpt,
-                             projections=("input_feat", "feat_inhib", "inhib_feat"))
+            apply_checkpoint(net, ckpt, projections=net.lower_projections)
         else:
             raise DataFormatError(
                 f"cannot start phase {args.phase} from a phase {ckpt.phase} checkpoint")
@@ -225,8 +224,7 @@ def cmd_search_weights(args) -> int:
     ckpt = load_checkpoint(args.from_checkpoint)
     if ckpt.phase != 1:
         raise DataFormatError("search-weights needs a phase 1 checkpoint")
-    apply_checkpoint(net, ckpt,
-                     projections=("input_feat", "feat_inhib", "inhib_feat"))
+    apply_checkpoint(net, ckpt, projections=net.lower_projections)
     result = monte_carlo_weight_search(
         net, (args.lo, args.hi), args.trials, subset, sim, enc,
         seed=_get(cfg, "search_seed", sim.seed))

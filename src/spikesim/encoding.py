@@ -65,10 +65,6 @@ def spikes_under_constant_current(params: NeuronParams, I: float, window: float,
     return np.asarray(times, dtype=np.float64)
 
 
-def _count(params: NeuronParams, I: float, window: float, dt: float) -> int:
-    return spikes_under_constant_current(params, I, window, dt).size
-
-
 def calibrate_ik(params: NeuronParams, window: float = 100.0, target: int = 10,
                  dt: float = 0.1) -> float:
     """Smallest I_K on the 0.1 pA grid giving exactly `target` spikes in `window`.
@@ -87,7 +83,7 @@ def calibrate_ik(params: NeuronParams, window: float = 100.0, target: int = 10,
             f"target {target} cannot fit in {window} ms with t_ref={params.t_ref} ms "
             f"(refractory cap ~{max_by_ref} spikes)")
 
-    count = lambda n: _count(params, n * GRID, window, dt)
+    count = lambda n: spikes_under_constant_current(params, n * GRID, window, dt).size
 
     # bracket: grow hi until the count reaches the target
     hi = max(1, int(round(params.rheobase / GRID)))

@@ -52,8 +52,12 @@ class SpikeRecord:
                          dt: float, window: float) -> "SpikeRecord":
         """Assemble a record from per-step spike events.
 
-        `events` holds (step_index, spiking_neuron_ids) pairs in step order;
-        spike times are step_index * dt.
+        `events` holds (step_index, spiking_neuron_ids) pairs; spike times
+        are step_index * dt. Each neuron's steps must increase along
+        `events`, as they do when the pairs come in step order, or when
+        step-ordered lists over disjoint neurons come back to back (a
+        replay's lower-stage events, then its readout's). A neuron whose
+        steps do not is refused as not strictly increasing.
         """
         id_arrays = [np.asarray(ids, dtype=np.int64).ravel() for _, ids in events]
         ids = np.concatenate(id_arrays) if id_arrays else np.empty(0, dtype=np.int64)

@@ -31,22 +31,20 @@ inject no current.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .neuron import NeuronParams, _require_finite
 from .plasticity import SynapsePopulation
 
-PROJECTION_ORDER = ("input_feat", "feat_inhib", "inhib_feat",
-                    "feat_readout", "readout_lateral")
-
-# projection -> (pre layer, post layer)
+# projection -> (pre layer, post layer), in serialization order
 PROJECTION_LAYERS = {"input_feat": ("input", "feature"),
                      "feat_inhib": ("feature", "inhib"),
                      "inhib_feat": ("inhib", "feature"),
                      "feat_readout": ("feature", "readout"),
                      "readout_lateral": ("readout", "readout")}
+PROJECTION_ORDER = tuple(PROJECTION_LAYERS)
 
 
 def stage_table(layer_names, projection_layers) -> tuple[tuple[str, ...], ...]:
@@ -218,12 +216,18 @@ class NetworkTopology:
     wiring: dict[str, tuple[Layer, Layer]] = field(init=False, repr=False)
     # stage_table over this network's layers
     stages: tuple[tuple[Layer, ...], ...] = field(init=False, repr=False)
+    # the projections into the stages below the readout: phase 1 trains
+    # them, phase 2 freezes them, and a phase-1 checkpoint hands them over
+    lower_projections: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.wiring = {name: (self.layer_of(pre), self.layer_of(post))
                        for name, (pre, post) in PROJECTION_LAYERS.items()}
         names = stage_table([layer.name for layer in self.layers], PROJECTION_LAYERS)
         self.stages = tuple(tuple(map(self.layer_of, stage)) for stage in names)
+        lower = {name for stage in names[:-1] for name in stage}
+        self.lower_projections = tuple(name for name, (_, post) in PROJECTION_LAYERS.items()
+                                       if post in lower)
 
     @property
     def n_neurons(self) -> int:
@@ -244,13 +248,8 @@ class NetworkTopology:
         return self.config.fingerprint()
 
     def copy(self) -> "NetworkTopology":
-        return NetworkTopology(
-            config=self.config, params=self.params,
-            input_layer=self.input_layer, feature_layer=self.feature_layer,
-            inhib_layer=self.inhib_layer, readout_layer=self.readout_layer,
-            projections={k: p.copy() for k, p in self.projections.items()},
-            class_of=self.class_of.copy(),
-        )
+        return replace(self, projections={k: p.copy() for k, p in self.projections.items()},
+                       class_of=self.class_of.copy())
 
     def ordered_projections(self) -> list[SynapsePopulation]:
         return [self.projections[name] for name in PROJECTION_ORDER]

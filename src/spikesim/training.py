@@ -194,17 +194,18 @@ class _Replay(ImageSample):
     raster: Raster | None = None
 
 
-def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int,
-              I_ext: np.ndarray, rasters: list[Raster] | tuple = (),
-              learning: list = ()) -> list[Raster]:
-    """The step loop: stages [first, last) of `net.stages` for a batch of
-    images, one row of `I_ext` (external current over the range's neurons)
-    per image. Spikes of the stages before the range come from the images'
-    `rasters`. `learning` lists the (projection, pre, post) triples that learn
-    by STDP, which needs a single image and the whole network. Returns each
-    image's raster of the range. One StepKernel, prepared here, steps the
-    neurons for the whole call, and each learning projection's StdpEvents
-    and each channel's delivery are prepared here too.
+def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: list = (),
+              enc: EncodingConfig | None = None, rasters: list[Raster] | tuple = (),
+              plastic: bool = False) -> list[Raster]:
+    """The step loop: the stages `net.stages[span]` for a batch of images.
+    A range that starts at the input stage takes the `images`, which `enc`
+    encodes into the input layer's external current; a later range takes the
+    `rasters` of the stages before it, whose spikes it replays, and no
+    external current. With `plastic` the projections in STDP mode learn,
+    which needs a single image and the whole network. Returns each image's
+    raster of the range. One StepKernel, prepared here, steps the neurons
+    for the whole call, and each learning projection's StdpEvents and each
+    channel's delivery are prepared here too.
 
     Every projection into the range adds a spiking step's input per image,
     as the sum of its spiking pre neurons' rows of W in ascending id order,
@@ -214,12 +215,20 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
     and STDP keeps them in its clip band for the rest of the call.
     """
     params, dt, n_steps = net.params, sim.dt, sim.n_steps
-    layers = [layer for stage in net.stages[first:last] for layer in stage]
+    layers = [layer for stage in net.stages[span] for layer in stage]
     lo, hi = layers[0].start, layers[-1].stop
-    batch, n = I_ext.shape
-    if learning and (batch != 1 or first != 0 or last != len(net.stages)):
+    n, batch = hi - lo, len(images) or len(rasters)
+    inp = net.input_layer
+    I_ext = np.zeros((batch, n), dtype=np.float64)
+    for row, img in zip(I_ext, images):
+        px = _pixels_of(img)
+        if px.shape != (net.config.rows, net.config.cols):
+            raise ValueError(f"image shape {px.shape} != ({net.config.rows}, {net.config.cols})")
+        row[inp.start - lo:inp.stop - lo] = encode_image(px, enc)
+    wired = [(net.projections[name], pre, post) for name, (pre, post) in net.wiring.items()]
+    learning = [(pop, pre, post) for pop, pre, post in wired if plastic and pop.mode == "stdp"]
+    if learning and (batch != 1 or lo != 0 or hi != net.n_neurons):
         raise ValueError("STDP needs one image through every stage")
-    wired = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()]
     into = [(pop, pre, post) for pop, pre, post in wired if lo <= post.start < hi]
     for pop, _, _ in into:
         try:
@@ -235,7 +244,7 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
         feeds.append((pre, start, stop))
         fed |= (stop > start).any(axis=1)
     k0 = 0
-    if rasters and not I_ext.any() and params.E_L < params.omega:
+    if rasters and params.E_L < params.omega:
         # a neuron at rest without input stays exactly at rest, so the range
         # starts at its first input
         k0 = int(np.argmax(fed)) if fed.any() else n_steps
@@ -343,21 +352,10 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, first: int, last: int
     return out
 
 
-def _input_current(net: NetworkTopology, images: list, enc: EncodingConfig,
-                   n: int) -> np.ndarray:
-    """(images, n) external current: each image encoded onto the input layer."""
-    cfg = net.config
-    I_ext = np.zeros((len(images), n), dtype=np.float64)
-    for row, img in zip(I_ext, images):
-        px = _pixels_of(img)
-        if px.shape != (cfg.rows, cfg.cols):
-            raise ValueError(f"image shape {px.shape} != ({cfg.rows}, {cfg.cols})")
-        row[net.input_layer.start:net.input_layer.stop] = encode_image(px, enc)
-    return I_ext
-
-
-def _readout_stage(net: NetworkTopology) -> int:
-    return len(net.stages) - 1
+def _readout(net: NetworkTopology, sim: SimulationConfig,
+             rasters: list[Raster]) -> list[Raster]:
+    """The readout stage of each image, fed by its lower-stage raster."""
+    return _simulate(net, sim, slice(-1, None), rasters=rasters)
 
 
 def present_image(net: NetworkTopology, img, sim: SimulationConfig,
@@ -372,16 +370,11 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     """
     raster = getattr(img, "raster", None)
     if raster is None:
-        learning = [(pop, *net.wiring[pop.name]) for pop in net.ordered_projections()
-                    if plastic and pop.mode == "stdp"]
-        I_ext = _input_current(net, [img], enc, net.n_neurons)
-        events = _simulate(net, sim, 0, len(net.stages), I_ext, learning=learning)[0].events()
+        events = _simulate(net, sim, slice(None), [img], enc, plastic=plastic)[0].events()
     else:
         if plastic:
             raise ValueError("a replayed presentation cannot learn by STDP")
-        top = _readout_stage(net)
-        zero = np.zeros((1, net.n_neurons - net.stages[top][0].start))
-        events = raster.events() + _simulate(net, sim, top, top + 1, zero, [raster])[0].events()
+        events = raster.events() + _readout(net, sim, [raster])[0].events()
     return SpikeRecord.from_step_events(events, net.n_neurons, sim.dt, sim.window)
 
 
@@ -406,16 +399,15 @@ class _Rasters:
 
     def chunks(self, order) -> Iterator[list[tuple[int, Raster]]]:
         """The (index, raster) pairs of `order`, CHUNK at a time."""
-        net, order = self.net, [int(i) for i in order]
-        top = _readout_stage(net)
+        order = [int(i) for i in order]
         for at in range(0, len(order), CHUNK):
             part = order[at:at + CHUNK]
             todo = [i for i in dict.fromkeys(part) if i not in self.kept]
             made = {}
             if todo:
-                I_ext = _input_current(net, [self.dataset[i] for i in todo], self.enc,
-                                       net.stages[top][0].start)
-                for i, raster in zip(todo, _simulate(net, self.sim, 0, top, I_ext)):
+                images = [self.dataset[i] for i in todo]
+                for i, raster in zip(todo, _simulate(self.net, self.sim, slice(0, -1),
+                                                     images, self.enc)):
                     made[i] = raster
                     if self.bytes + made[i].nbytes <= RASTER_BYTES:
                         self.kept[i] = made[i]
@@ -444,17 +436,18 @@ class _Rasters:
 
 
 def set_phase1_modes(net: NetworkTopology) -> NetworkTopology:
-    """STDP on the three lower projections, readout projections static."""
-    for name in ("input_feat", "feat_inhib", "inhib_feat"):
-        net.projections[name].plasticity = StdpParams()
-    freeze(net.projections["feat_readout"])
-    freeze(net.projections["readout_lateral"])
+    """STDP on the projections into the lower stages, the readout's static."""
+    for name, pop in net.projections.items():
+        if name in net.lower_projections:
+            pop.plasticity = StdpParams()
+        else:
+            freeze(pop)
     return net
 
 
 def set_phase2_modes(net: NetworkTopology) -> NetworkTopology:
     """Freeze the STDP projections; supervised rule on the readout wiring."""
-    for name in ("input_feat", "feat_inhib", "inhib_feat"):
+    for name in net.lower_projections:
         freeze(net.projections[name])
     net.projections["feat_readout"].plasticity = ResumeParams()
     if net.config.train_readout_lateral:
@@ -653,13 +646,10 @@ def _classify_all(net: NetworkTopology, rasters: _Rasters) -> list[Classificatio
     """classify() of every sample of the dataset of `rasters`, the readout
     stage run CHUNK images at a time on the replayed lower-stage rasters."""
     since = rasters.built, rasters.replayed
-    top = _readout_stage(net)
-    start = net.stages[top][0].start
     readout = net.readout_layer
     results = []
     for chunk in rasters.chunks(range(len(rasters.dataset))):
-        zero = np.zeros((len(chunk), net.n_neurons - start))
-        for raster in _simulate(net, rasters.sim, top, top + 1, zero, [r for _, r in chunk]):
+        for raster in _readout(net, rasters.sim, [r for _, r in chunk]):
             ids = raster.ids
             inside = ids[(ids >= readout.start) & (ids < readout.stop)] - readout.start
             results.append(_classified(net, np.bincount(inside, minlength=readout.size)))

@@ -85,6 +85,21 @@ def test_from_step_events_validates():
     assert SpikeRecord.from_step_events([], 3, 0.1, 1.0) == SpikeRecord.empty(3, 1.0)
 
 
+def test_from_step_events_takes_step_ordered_lists_back_to_back():
+    # a replayed presentation passes the lower stages' events, then the
+    # readout's: the steps restart, but each neuron's still increase
+    lower = [(2, np.array([0])), (5, np.array([0, 1]))]
+    readout = [(1, np.array([2, 3])), (4, np.array([3]))]
+    rec = SpikeRecord.from_step_events(lower + readout, 4, dt=0.5, window=10.0)
+    assert [t.tolist() for t in rec.times] == [[1.0, 2.5], [2.5], [0.5], [0.5, 2.0]]
+
+
+def test_from_step_events_refuses_a_neuron_whose_steps_go_back():
+    events = [(5, np.array([0, 1])), (2, np.array([1]))]
+    with pytest.raises(ValueError, match="neuron 1: spike times not strictly increasing"):
+        SpikeRecord.from_step_events(events, 2, dt=0.1, window=1.0)
+
+
 def test_validation_names_the_first_bad_neuron():
     ok = np.array([1.0, 2.0])
     cases = [([ok, np.array([np.inf]), np.array([3.0, 1.0])], "neuron 1: non-finite"),

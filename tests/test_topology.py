@@ -172,7 +172,11 @@ def test_wiring_table_names_each_projections_layers():
     for name, (pre, post) in net.wiring.items():
         pop = net.projections[name]
         assert (pop.n_pre, pop.n_post) == (pre.size, post.size)
-    assert net.copy().wiring == net.wiring
+    copy = net.copy()
+    assert copy.wiring == net.wiring
+    assert copy.stages == net.stages
+    assert copy.lower_projections == net.lower_projections == (
+        "input_feat", "feat_inhib", "inhib_feat")
 
 
 def test_copy_owns_its_weights_and_shares_read_only_connections():

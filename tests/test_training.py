@@ -164,13 +164,18 @@ def test_phase2_freezes_lower_projections(sim, enc, tiny_ds):
 def test_phase_modes():
     net = build_tiny()
     set_phase1_modes(net)
+    assert net.lower_projections == ("input_feat", "feat_inhib", "inhib_feat")
     modes = {n: net.projections[n].mode for n in PROJECTION_ORDER}
     assert modes["input_feat"] == modes["feat_inhib"] == modes["inhib_feat"] == "stdp"
-    assert modes["feat_readout"] == "static"
+    assert modes["feat_readout"] == modes["readout_lateral"] == "static"
     set_phase2_modes(net)
     modes = {n: net.projections[n].mode for n in PROJECTION_ORDER}
     assert modes["input_feat"] == modes["feat_inhib"] == modes["inhib_feat"] == "static"
-    assert modes["feat_readout"] == "resume"
+    assert modes["feat_readout"] == modes["readout_lateral"] == "resume"
+    fixed = build_network(replace(net.config, train_readout_lateral=False))
+    set_phase2_modes(set_phase1_modes(fixed))
+    assert fixed.projections["feat_readout"].mode == "resume"
+    assert fixed.projections["readout_lateral"].mode == "static"
 
 
 def test_checkpoint_cadence_and_final(tmp_path, enc, tiny_ds):
@@ -506,6 +511,16 @@ def test_readout_starts_at_first_input_only_from_rest(monkeypatch, sim, enc, E_L
         assert all(t.size and t[0] == 0.0 for t in readout.times)
     for sample, record in zip(ds, records):
         assert record == present_image(net, sample, sim, enc)
+
+
+def test_a_replayed_presentation_cannot_learn(monkeypatch, sim, enc):
+    net = firing_net(3)
+    replay = next(training._Rasters(net, bright_ds(3, n=1), sim, enc).samples([0]))
+    set_phase1_modes(net)
+    calls = count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="a replayed presentation cannot learn by STDP"):
+        present_image(net, replay, sim, enc, plastic=True)
+    assert calls == []
 
 
 def test_colliding_teacher_times_are_refused_before_the_first_step(monkeypatch, sim):
