@@ -41,7 +41,7 @@ _SECTIONS = (
 
 # keys read where they are used: encoding, weight search, dataset
 _OTHER_KEYS = (
-    "i_k", "target", "search_seed",
+    "i_k", "target", "seed", "search_seed",
     "dataset", "data_dir", "synth_train_per_class", "synth_test_per_class",
     "synth_noise", "synth_seed", "synth_test_seed", "limit_train", "limit_test",
     "limit_classes",
@@ -90,6 +90,9 @@ def load_run_config(path: str | Path):
             close = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise DataFormatError(f"{path}: unknown config key {key!r}{hint}")
+        # numpy refuses a negative seed, but only once a run has begun
+        if key.endswith("seed") and (seed := _get(cfg, key, None)) is not None and seed < 0:
+            raise DataFormatError(f"config key {key!r} must be non-negative, got {seed}")
     net_cfg, sim_cfg, params = (
         cls(**{f.name: _get(cfg, key, f.default) for key, f in keys.items()})
         for cls, keys in _SECTIONS)
@@ -227,7 +230,7 @@ def cmd_search_weights(args) -> int:
     apply_checkpoint(net, ckpt, projections=net.lower_projections)
     result = monte_carlo_weight_search(
         net, (args.lo, args.hi), args.trials, subset, sim, enc,
-        seed=_get(cfg, "search_seed", sim.seed))
+        seed=_get(cfg, "search_seed", _get(cfg, "seed", 0)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ranked = sorted(result.trials, key=lambda t: (-t.accuracy, t.weight))

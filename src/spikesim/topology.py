@@ -38,17 +38,22 @@ import numpy as np
 from .neuron import NeuronParams, _require_finite
 from .plasticity import SynapsePopulation
 
-# projection -> (pre layer, post layer), in serialization order
-PROJECTION_LAYERS = {"input_feat": ("input", "feature"),
-                     "feat_inhib": ("feature", "inhib"),
-                     "inhib_feat": ("inhib", "feature"),
-                     "feat_readout": ("feature", "readout"),
-                     "readout_lateral": ("readout", "readout")}
-PROJECTION_ORDER = tuple(PROJECTION_LAYERS)
+# every projection, in serialization order: pre layer, post layer, sign and
+# wiring rule. A rule is a `connect` rule or one of the readout's two, which
+# read the config: "partitionable" is all-to-all unless
+# feat_readout_partitioned, "cross_class" pairs readout neurons of different
+# classes.
+PROJECTIONS = {"input_feat": ("input", "feature", "excitatory", "all_to_all"),
+               "feat_inhib": ("feature", "inhib", "excitatory", "one_to_one"),
+               "inhib_feat": ("inhib", "feature", "inhibitory", "one_to_all_except_partner"),
+               "feat_readout": ("feature", "readout", "excitatory", "partitionable"),
+               "readout_lateral": ("readout", "readout", "inhibitory", "cross_class")}
+PROJECTION_ORDER = tuple(PROJECTIONS)
 
 
-def stage_table(layer_names, projection_layers) -> tuple[tuple[str, ...], ...]:
-    """Group the layers, in neuron-index order, into simulation stages.
+def stage_table(layer_names, projections) -> tuple[tuple[str, ...], ...]:
+    """Group the layers, in neuron-index order, into simulation stages, by
+    the pre and post layers of a projection table like PROJECTIONS.
 
     A layer whose every input comes from the stage just before it (a relay,
     as inhib hears only feature) joins that stage; any other layer starts a
@@ -58,13 +63,13 @@ def stage_table(layer_names, projection_layers) -> tuple[tuple[str, ...], ...]:
     """
     stages: list[list[str]] = []
     for name in layer_names:
-        inputs = {pre for pre, post in projection_layers.values() if post == name}
+        inputs = {pre for pre, post, *_ in projections.values() if post == name}
         if stages and inputs and inputs <= set(stages[-1]):
             stages[-1].append(name)
         else:
             stages.append([name])
     stage_of = {name: i for i, stage in enumerate(stages) for name in stage}
-    for proj, (pre, post) in projection_layers.items():
+    for proj, (pre, post, *_) in projections.items():
         if stage_of[pre] > stage_of[post]:
             raise ValueError(
                 f"projection {proj} runs from stage {stages[stage_of[pre]]} back into "
@@ -116,10 +121,13 @@ class NetworkConfig:
                 f"rows*cols*feature_fraction must be a positive integer, got {n_feat}")
         if not (0.0 <= self.weight_jitter < 1.0):
             raise ValueError("weight_jitter must be in [0, 1)")
-        if self.w_input_feat < 0 or self.w_feat_inhib < 0 or self.w_feat_readout < 0:
-            raise ValueError("excitatory mean weights must be non-negative")
-        if self.w_inhib_feat > 0 or self.w_readout_lateral > 0:
-            raise ValueError("inhibitory mean weights must be non-positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name, (_, _, sign, _) in PROJECTIONS.items():
+            w = getattr(self, f"w_{name}")
+            if w < 0 if sign == "excitatory" else w > 0:
+                bound = "non-negative" if sign == "excitatory" else "non-positive"
+                raise ValueError(f"w_{name} must be {bound} ({sign} projection), got {w}")
         if self.feat_readout_partitioned:
             n_read = self.n_classes * self.neurons_per_class
             if int(n_feat) % n_read != 0:
@@ -200,6 +208,20 @@ def _jittered(rng: np.random.Generator, mean: float, jitter: float, size: int) -
     return rng.uniform(lo, hi, size)
 
 
+def _wire(rule: str, cfg: NetworkConfig, n_pre: int,
+          n_post: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pre_index, post_index) arrays of a PROJECTIONS wiring rule."""
+    if rule == "cross_class":
+        return _cross_class_pairs(cfg.n_classes, cfg.neurons_per_class)
+    if rule == "partitionable":
+        if not cfg.feat_readout_partitioned:
+            return connect("all_to_all", n_pre, n_post)
+        # each readout neuron sees only its own partition of the feature layer
+        pre = np.arange(n_pre, dtype=np.int64)
+        return pre, pre // (n_pre // n_post)
+    return connect(rule, n_pre, n_post)
+
+
 @dataclass
 class NetworkTopology:
     """An assembled network: layers, projections, classes, neuron parameters."""
@@ -212,7 +234,7 @@ class NetworkTopology:
     readout_layer: Layer
     projections: dict[str, SynapsePopulation]
     class_of: np.ndarray            # readout-local index -> class id
-    # PROJECTION_LAYERS resolved to this network's Layer objects, once
+    # PROJECTIONS' pre and post layers resolved to this network's Layer objects
     wiring: dict[str, tuple[Layer, Layer]] = field(init=False, repr=False)
     # stage_table over this network's layers
     stages: tuple[tuple[Layer, ...], ...] = field(init=False, repr=False)
@@ -222,11 +244,11 @@ class NetworkTopology:
 
     def __post_init__(self) -> None:
         self.wiring = {name: (self.layer_of(pre), self.layer_of(post))
-                       for name, (pre, post) in PROJECTION_LAYERS.items()}
-        names = stage_table([layer.name for layer in self.layers], PROJECTION_LAYERS)
+                       for name, (pre, post, *_) in PROJECTIONS.items()}
+        names = stage_table([layer.name for layer in self.layers], PROJECTIONS)
         self.stages = tuple(tuple(map(self.layer_of, stage)) for stage in names)
         lower = {name for stage in names[:-1] for name in stage}
-        self.lower_projections = tuple(name for name, (_, post) in PROJECTION_LAYERS.items()
+        self.lower_projections = tuple(name for name, (_, post, *_) in PROJECTIONS.items()
                                        if post in lower)
 
     @property
@@ -259,58 +281,30 @@ def build_network(cfg: NetworkConfig, params: NeuronParams | None = None) -> Net
     """Assemble layers and projections with seeded initial weights.
 
     Identical configs produce bit-identical weights; jittered draws happen in
-    the fixed projection order from a single generator seeded by cfg.seed.
+    PROJECTIONS order from a single generator seeded by cfg.seed.
     """
     params = params or NeuronParams()
-    n_in, n_feat, n_read = cfg.n_input, cfg.n_feature, cfg.n_readout
-    input_layer = Layer("input", 0, n_in)
-    feature_layer = Layer("feature", n_in, n_in + n_feat)
-    inhib_layer = Layer("inhib", n_in + n_feat, n_in + 2 * n_feat)
-    readout_layer = Layer("readout", n_in + 2 * n_feat, n_in + 2 * n_feat + n_read)
-
+    layers, start = {}, 0
+    for name, size in (("input", cfg.n_input), ("feature", cfg.n_feature),
+                       ("inhib", cfg.n_feature), ("readout", cfg.n_readout)):
+        layers[name] = Layer(name, start, start + size)
+        start += size
     rng = np.random.default_rng(cfg.seed)
     projections: dict[str, SynapsePopulation] = {}
+    for name, (pre_layer, post_layer, sign, rule) in PROJECTIONS.items():
+        n_pre, n_post = layers[pre_layer].size, layers[post_layer].size
+        pre, post = _wire(rule, cfg, n_pre, n_post)
+        mean = getattr(cfg, f"w_{name}")
+        # jittered below the readout, constant into it (the search's target)
+        weight = (np.full(pre.size, mean) if post_layer == "readout"
+                  else _jittered(rng, mean, cfg.weight_jitter, pre.size))
+        projections[name] = SynapsePopulation(
+            name=name, pre_index=pre, post_index=post, weight=weight,
+            sign=sign, n_pre=n_pre, n_post=n_post)
 
-    pre, post = connect("all_to_all", n_in, n_feat)
-    projections["input_feat"] = SynapsePopulation(
-        name="input_feat", pre_index=pre, post_index=post,
-        weight=_jittered(rng, cfg.w_input_feat, cfg.weight_jitter, pre.size),
-        sign="excitatory", n_pre=n_in, n_post=n_feat)
-
-    pre, post = connect("one_to_one", n_feat, n_feat)
-    projections["feat_inhib"] = SynapsePopulation(
-        name="feat_inhib", pre_index=pre, post_index=post,
-        weight=_jittered(rng, cfg.w_feat_inhib, cfg.weight_jitter, pre.size),
-        sign="excitatory", n_pre=n_feat, n_post=n_feat)
-
-    pre, post = connect("one_to_all_except_partner", n_feat, n_feat)
-    projections["inhib_feat"] = SynapsePopulation(
-        name="inhib_feat", pre_index=pre, post_index=post,
-        weight=_jittered(rng, cfg.w_inhib_feat, cfg.weight_jitter, pre.size),
-        sign="inhibitory", n_pre=n_feat, n_post=n_feat)
-
-    if cfg.feat_readout_partitioned:
-        part = n_feat // n_read
-        pre = np.arange(n_feat, dtype=np.int64)
-        post = (pre // part).astype(np.int64)
-    else:
-        pre, post = connect("all_to_all", n_feat, n_read)
-    projections["feat_readout"] = SynapsePopulation(
-        name="feat_readout", pre_index=pre, post_index=post,
-        weight=np.full(pre.size, cfg.w_feat_readout),
-        sign="excitatory", n_pre=n_feat, n_post=n_read)
-
-    pre, post = _cross_class_pairs(cfg.n_classes, cfg.neurons_per_class)
-    projections["readout_lateral"] = SynapsePopulation(
-        name="readout_lateral", pre_index=pre, post_index=post,
-        weight=np.full(pre.size, cfg.w_readout_lateral),
-        sign="inhibitory", n_pre=n_read, n_post=n_read)
-
-    class_of = np.arange(n_read, dtype=np.int64) // cfg.neurons_per_class
+    class_of = np.arange(cfg.n_readout, dtype=np.int64) // cfg.neurons_per_class
     return NetworkTopology(
-        config=cfg, params=params,
-        input_layer=input_layer, feature_layer=feature_layer,
-        inhib_layer=inhib_layer, readout_layer=readout_layer,
+        config=cfg, params=params, **{f"{name}_layer": layer for name, layer in layers.items()},
         projections=projections, class_of=class_of)
 
 

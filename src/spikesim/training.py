@@ -27,7 +27,8 @@ trains feature->readout (and optionally the lateral readout inhibition) with
 the supervised window rule, applied once per presentation against the
 presented class's teacher train. Classification is winner-takes-all over
 summed per-class readout spike counts, ties resolved to the lowest class
-index and flagged.
+index and flagged. `classify` is a one-image `evaluate`; neither learns, so
+both take a network in any mode and leave every weight as it is.
 
 Everything is deterministic given the seeds: dataset order is fixed unless a
 shuffle seed is supplied (per-epoch order then derives statelessly from
@@ -74,7 +75,6 @@ class SimulationConfig:
     epochs_phase1: int = 5
     epochs_phase2: int = 5
     checkpoint_interval: int = 500  # presentations between checkpoints
-    seed: int = 0                   # only the default for the CLI's search_seed
     shuffle_seed: int | None = None  # None = fixed dataset order
 
     def __post_init__(self) -> None:
@@ -89,6 +89,8 @@ class SimulationConfig:
             raise ValueError("epoch counts must be non-negative")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be positive")
+        if self.shuffle_seed is not None and self.shuffle_seed < 0:
+            raise ValueError(f"shuffle_seed must be non-negative, got {self.shuffle_seed}")
 
     @property
     def n_steps(self) -> int:
@@ -379,8 +381,8 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
 
 
 class _Rasters:
-    """The lower-stage rasters of one dataset's images under `net`, for the
-    call that makes them and hands them on.
+    """The lower-stage rasters of a sequence of images (pixels or samples)
+    under `net`, for the call that makes them and hands them on.
 
     Made a chunk at a time, CHUNK images per batched pass, when an image is
     first presented, and kept while their bytes stay within RASTER_BYTES.
@@ -389,9 +391,9 @@ class _Rasters:
     readout projections replays them too.
     """
 
-    def __init__(self, net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
+    def __init__(self, net: NetworkTopology, images, sim: SimulationConfig,
                  enc: EncodingConfig) -> None:
-        self.net, self.dataset, self.sim, self.enc = net, dataset, sim, enc
+        self.net, self.images, self.sim, self.enc = net, images, sim, enc
         self.kept: dict[int, Raster] = {}
         self.bytes = 0
         self.built = 0          # lower-stage passes, one per image
@@ -405,7 +407,7 @@ class _Rasters:
             todo = [i for i in dict.fromkeys(part) if i not in self.kept]
             made = {}
             if todo:
-                images = [self.dataset[i] for i in todo]
+                images = [self.images[i] for i in todo]
                 for i, raster in zip(todo, _simulate(self.net, self.sim, slice(0, -1),
                                                      images, self.enc)):
                     made[i] = raster
@@ -417,10 +419,11 @@ class _Rasters:
             yield [(i, self.kept[i] if i in self.kept else made[i]) for i in part]
 
     def samples(self, order) -> Iterator[_Replay]:
-        """The samples of `order`, each carrying its raster."""
+        """The samples of `order`, each carrying its raster (the images must
+        be samples)."""
         for chunk in self.chunks(order):
             for i, raster in chunk:
-                s = self.dataset[i]
+                s = self.images[i]
                 yield _Replay(pixels=s.pixels, label=s.label, source_id=s.source_id,
                               raster=raster)
 
@@ -563,6 +566,8 @@ def check_labels(net: NetworkTopology, dataset: Dataset) -> None:
 
 
 def frozen_eval_net(net: NetworkTopology) -> NetworkTopology:
+    """A copy of `net` with every projection static. Classifying needs none:
+    `classify` and `evaluate` never learn, whatever the modes."""
     frozen = net.copy()
     for pop in frozen.projections.values():
         freeze(pop)
@@ -593,7 +598,7 @@ def _train_readout(net: NetworkTopology, rasters: _Rasters, epochs: int,
     feat, readout = net.feature_layer, net.readout_layer
 
     def step(sample: ImageSample) -> bool:
-        # frozen presentations ignore modes: classify() on a frozen copy agrees
+        # a presentation that is not plastic learns nothing: classify() agrees
         record = present_image(net, sample, sim, enc, plastic=False)
         teacher = teachers[sample.label]
         actual = record.subset(readout.start, readout.stop)
@@ -604,7 +609,7 @@ def _train_readout(net: NetworkTopology, rasters: _Rasters, epochs: int,
             resume_update(p5, teacher, actual, actual, sim.window)
         return predicted == sample.label
 
-    result = _run_epochs(net, rasters.dataset, sim, 2, epochs, step, out_dir,
+    result = _run_epochs(net, rasters.images, sim, 2, epochs, step, out_dir,
                          start_presentation, rasters.samples)
     rasters.log("phase 2", since)
     return result
@@ -621,38 +626,26 @@ def _predict(net: NetworkTopology, counts: np.ndarray) -> tuple[int, np.ndarray,
     return int(winners[0]), class_counts, winners.size > 1
 
 
-def _require_static(net: NetworkTopology) -> None:
-    for pop in net.projections.values():
-        if pop.mode != "static":
-            raise ValueError(
-                f"classification needs static projections, {pop.name} is {pop.mode}")
-
-
-def _classified(net: NetworkTopology, counts: np.ndarray) -> ClassificationResult:
-    predicted, class_counts, tie = _predict(net, counts)
-    return ClassificationResult(predicted, class_counts, counts, tie)
-
-
 def classify(net: NetworkTopology, img, sim: SimulationConfig,
              enc: EncodingConfig) -> ClassificationResult:
-    """Winner-takes-all prediction; requires every projection frozen."""
-    _require_static(net)
-    record = present_image(net, img, sim, enc, plastic=False)
-    return _classified(net, record.subset(net.readout_layer.start,
-                                          net.readout_layer.stop).counts())
+    """Winner-takes-all prediction for one image: a one-image evaluation."""
+    return _classify_all(net, _Rasters(net, [img], sim, enc))[0]
 
 
 def _classify_all(net: NetworkTopology, rasters: _Rasters) -> list[ClassificationResult]:
-    """classify() of every sample of the dataset of `rasters`, the readout
-    stage run CHUNK images at a time on the replayed lower-stage rasters."""
+    """classify() of every image of `rasters`, the readout stage run CHUNK
+    images at a time on the replayed lower-stage rasters. No step learns, so
+    `net` may be in any mode and keeps every weight."""
     since = rasters.built, rasters.replayed
     readout = net.readout_layer
     results = []
-    for chunk in rasters.chunks(range(len(rasters.dataset))):
+    for chunk in rasters.chunks(range(len(rasters.images))):
         for raster in _readout(net, rasters.sim, [r for _, r in chunk]):
             ids = raster.ids
             inside = ids[(ids >= readout.start) & (ids < readout.stop)] - readout.start
-            results.append(_classified(net, np.bincount(inside, minlength=readout.size)))
+            counts = np.bincount(inside, minlength=readout.size)
+            predicted, class_counts, tie = _predict(net, counts)
+            results.append(ClassificationResult(predicted, class_counts, counts, tie))
     rasters.log("evaluation", since)
     return results
 
@@ -667,7 +660,6 @@ def evaluate(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
     """Accuracy over a dataset: overall, per class, and the class mean +- std."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    _require_static(net)
     check_labels(net, dataset)
     results = _classify_all(net, _Rasters(net, dataset, sim, enc))
     labels = dataset.labels()
@@ -699,10 +691,10 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
 
     Each trial copies the phase-1-trained network, sets every feat_readout
     weight to the candidate, trains one phase-2 epoch on eval_subset, and
-    scores accuracy on eval_subset with frozen weights. Ties pick the smaller
-    weight. Deterministic for a given seed. The trials differ only in
-    feat_readout, so one raster set, built here, serves every trial's
-    training and scoring: the lower stages run once per image for all of them.
+    scores its accuracy on eval_subset. Ties pick the smaller weight.
+    Deterministic for a given seed. The trials differ only in feat_readout,
+    so one raster set, built here, serves every trial's training and
+    scoring: the lower stages run once per image for all of them.
     """
     lo, hi = candidates
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
@@ -720,8 +712,7 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
         candidate = net.copy()
         candidate.projections["feat_readout"].weight = w
         _train_readout(candidate, rasters, 1, None, 0)
-        accuracy = float(_correct(_classify_all(frozen_eval_net(candidate), rasters),
-                                  eval_subset).mean())
+        accuracy = float(_correct(_classify_all(candidate, rasters), eval_subset).mean())
         results.append(Trial(weight=float(w), accuracy=accuracy))
         logger.info("weight search trial %d/%d: w=%.3f acc=%.4f",
                     i + 1, trials, w, accuracy)

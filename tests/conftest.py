@@ -60,4 +60,4 @@ def tiny_net(tiny_cfg, params):
 
 @pytest.fixture
 def sim():
-    return SimulationConfig(seed=5, epochs_phase1=1, epochs_phase2=1)
+    return SimulationConfig(epochs_phase1=1, epochs_phase2=1)

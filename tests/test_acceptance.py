@@ -243,7 +243,7 @@ def test_c6_toy_run_reaches_80_percent():
     train = make_synthetic(3, 8, 8, 50, noise=0.03, seed=11)
     test = make_synthetic(3, 8, 8, 20, noise=0.03, seed=12)
     cfg = NetworkConfig(rows=8, cols=8, n_classes=3, neurons_per_class=5, seed=7)
-    sim = SimulationConfig(seed=7, epochs_phase1=5, epochs_phase2=5)
+    sim = SimulationConfig(epochs_phase1=5, epochs_phase2=5)
     net = build_network(cfg)
     assert (net.input_layer.size, net.feature_layer.size,
             net.inhib_layer.size, net.readout_layer.size) == (64, 16, 16, 15)
@@ -273,7 +273,7 @@ def test_c7_cifar_subset_smoke():
                    n_classes=2, class_names=full_test.class_names[:2])
     cfg = NetworkConfig(rows=32, cols=32, n_classes=2, neurons_per_class=10,
                         seed=7)
-    sim = SimulationConfig(seed=7, epochs_phase1=2, epochs_phase2=2)
+    sim = SimulationConfig(epochs_phase1=2, epochs_phase2=2)
     net = build_network(cfg)
     run_phase1(net, train, sim, enc)
     search = monte_carlo_weight_search(net, (80.0, 560.0), 3,
@@ -302,7 +302,7 @@ def test_c8_persistence_and_determinism(tmp_path):
                for k in ckpt.weights)
 
     # identical seeds -> byte-identical checkpoints and equal reports
-    sim = SimulationConfig(seed=5, epochs_phase1=2, checkpoint_interval=5)
+    sim = SimulationConfig(epochs_phase1=2, checkpoint_interval=5)
     outs = []
     for sub in ("r1", "r2"):
         n = build_network(cfg)
@@ -326,7 +326,7 @@ def test_c8_persistence_and_determinism(tmp_path):
 
 def test_c9_report_shape_ten_classes():
     enc = EncodingConfig(I_K=I_K_DEFAULT, target=10)
-    sim = SimulationConfig(seed=5)
+    sim = SimulationConfig()
     ds = make_synthetic(10, 8, 8, 1, noise=0.03, seed=11)
     net = build_network(NetworkConfig(rows=8, cols=8, n_classes=10,
                                       neurons_per_class=2, seed=5))

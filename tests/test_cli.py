@@ -332,3 +332,33 @@ def test_limits_apply_to_synthetic_data(tmp_path):
     assert train.labels().tolist() == [0, 1]
     test = resolve_dataset(cfg, net_cfg, "test", None)
     assert sorted(set(test.labels().tolist())) == [0, 1]
+
+
+@pytest.mark.parametrize("key", [k for k in CONFIG_KEYS if k.endswith("seed")])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, key):
+    # refused by name as the config loads, before a manifest is written
+    cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, **{key: -1})
+    assert main(["train", "--phase", "1", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"config key {key!r} must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_configs_refuse_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        NetworkConfig(seed=-3)
+    with pytest.raises(ValueError, match="shuffle_seed must be non-negative, got -1"):
+        SimulationConfig(shuffle_seed=-1)
+
+
+@pytest.mark.parametrize("key, w", [("w_input_feat", -1.0), ("w_feat_inhib", -1.0),
+                                    ("w_inhib_feat", 1.0), ("w_feat_readout", -1.0),
+                                    ("w_readout_lateral", 1.0)])
+def test_wrong_signed_mean_weight_is_refused_by_name(tmp_path, capsys, key, w):
+    with pytest.raises(ValueError, match=f"{key} must be non-"):
+        NetworkConfig(**{key: w})
+    cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, **{key: w})
+    assert main(["train", "--phase", "1", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{key} must be non-" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -2,8 +2,8 @@
 
 The benchmark's tracer and tally replace spikesim functions by name, and its
 workloads read the plasticity rules' clip band. A deleted or renamed name
-fails here, in Tier-1, and not only in the traced benchmark run. The test
-imports perfbench's modules and changes nothing there.
+fails here, in Tier-1, and not only in the traced benchmark run. The tests
+import perfbench's modules and change nothing there.
 """
 
 from pathlib import Path
@@ -41,3 +41,21 @@ def test_workload_clip_bounds(monkeypatch, tmp_path):
     import workloads
 
     assert workloads.Workload(spikesim, 0, tmp_path).clip_bounds() == (0.0, 1200.0)
+
+
+def test_tally_counts_phase2_presentations(monkeypatch, tmp_path):
+    # the tally counts phase-2 presentations at training.present_image; an
+    # op that makes none leaves the traced run with no per-layer spikes
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tally
+    import workloads
+
+    workload = workloads.ReadoutDense(spikesim, 3, tmp_path)
+    workload.setup()
+    counts = tally.Tally(spikesim.training)
+    counts.install()
+    try:
+        workload.op()
+    finally:
+        counts.restore()
+    assert counts.modes.count("phase2") >= 1
