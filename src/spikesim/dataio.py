@@ -52,7 +52,8 @@ class ImageSample:
         px = self.pixels
         if px.ndim != 2:
             raise ValueError(f"{self.source_id}: pixels must be 2-D")
-        if not np.all(np.isfinite(px)) or px.min() < 0.0 or px.max() > 1.0:
+        # a NaN or an infinity makes min or max non-finite, which fails the test
+        if not (0.0 <= px.min() and px.max() <= 1.0):
             raise ValueError(f"{self.source_id}: pixel values outside [0, 1]")
         if self.label < 0:
             raise ValueError(f"{self.source_id}: negative label")
@@ -186,15 +187,14 @@ def make_synthetic(n_classes: int, rows: int, cols: int, samples_per_class: int,
     if noise < 0.0:
         raise ValueError("noise must be non-negative")
     templates = class_templates(n_classes, rows, cols)
-    rng = np.random.default_rng(seed)
-    samples: list[ImageSample] = []
-    for i in range(samples_per_class):
-        for k in range(n_classes):
-            px = templates[k]
-            if noise > 0.0:
-                px = np.clip(px + rng.uniform(-noise, noise, px.shape), 0.0, 1.0)
-            samples.append(ImageSample(pixels=px.copy(), label=k,
-                                       source_id=f"synth:{k}:{i}"))
+    # pixels[i, k] is sample i of class k; the noise is one draw in that
+    # order, the same doubles as one draw per sample
+    pixels = np.repeat(templates[None], samples_per_class, axis=0)
+    if noise > 0.0:
+        pixels += np.random.default_rng(seed).uniform(-noise, noise, pixels.shape)
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+    samples = [ImageSample(pixels=pixels[i, k], label=k, source_id=f"synth:{k}:{i}")
+               for i in range(samples_per_class) for k in range(n_classes)]
     return Dataset(samples=samples, n_classes=n_classes)
 
 

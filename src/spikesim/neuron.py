@@ -50,6 +50,18 @@ def _require_finite(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+def _window_steps(window: float, dt: float) -> int:
+    """The number of `dt` ms steps in a window of `window` ms; refuses a dt
+    that is not positive and finite and a window that is not a positive
+    multiple of dt (to within 1e-6 ms)."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    n = round(window / dt) if math.isfinite(window) else 0
+    if n < 1 or abs(n * dt - window) > 1e-6:
+        raise ValueError(f"window {window} must be a positive multiple of dt {dt}")
+    return n
+
+
 @dataclass(frozen=True)
 class NeuronParams:
     """Membrane, synapse, and threshold constants shared by a population.

@@ -50,7 +50,7 @@ from .dataio import (Dataset, ImageSample, checkpoint_from_network, save_checkpo
                      write_atomic)
 from .encoding import EncodingConfig, encode_image
 from .neuron import (StepKernel, _channel, _check_delivery, _inject, _require_finite,
-                     new_state)
+                     _window_steps, new_state)
 from .plasticity import (SIGNS, TAU_TRACE, ResumeParams, StdpEvents, StdpParams,
                          freeze, resume_update)
 from .records import SpikeRecord
@@ -79,12 +79,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        n = round(self.window / self.dt)
-        if n < 1 or abs(n * self.dt - self.window) > 1e-6:
-            raise ValueError(
-                f"window {self.window} must be a positive multiple of dt {self.dt}")
+        _window_steps(self.window, self.dt)
         if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
             raise ValueError("epoch counts must be non-negative")
         if self.checkpoint_interval < 1:
@@ -94,7 +89,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.window / self.dt)
+        return _window_steps(self.window, self.dt)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,12 @@ def test_dataset_fingerprint_tracks_content():
 def test_image_sample_validation():
     with pytest.raises(ValueError):
         ImageSample(pixels=np.ones((2, 2)) * 1.5, label=0, source_id="x")
+    for bad in (np.nan, np.inf, -np.inf, -0.1, 1.5):
+        px = np.full((2, 2), 0.5)
+        px[1, 0] = bad
+        with pytest.raises(ValueError, match="outside"):
+            ImageSample(pixels=px, label=0, source_id="x")
+    ImageSample(pixels=np.array([[0.0, 1.0]]), label=0, source_id="x")
     with pytest.raises(ValueError):
         ImageSample(pixels=np.ones(4), label=0, source_id="x")
     with pytest.raises(ValueError):

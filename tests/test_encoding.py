@@ -1,12 +1,13 @@
 """Rate encoding and current calibration: frozen constants, endpoint counts,
-monotonicity, and the regular-spacing tail."""
+monotonicity, the regular-spacing tail, and the population search against a
+bisection over single-neuron runs."""
 
 import numpy as np
 import pytest
 
 from spikesim import EncodingConfig, NeuronParams
-from spikesim.encoding import (calibrate_ik, encode_image, pixel_to_current,
-                               spikes_under_constant_current)
+from spikesim.encoding import (GRID, _spike_counts, calibrate_ik, encode_image,
+                               pixel_to_current, spikes_under_constant_current)
 from spikesim.errors import NumericError
 
 from conftest import I_K_DEFAULT
@@ -90,3 +91,88 @@ def test_calibration_other_targets(params):
         ik = calibrate_ik(params, target=target, window=100.0, dt=0.1)
         n = len(spikes_under_constant_current(params, ik, 100.0, 0.1))
         assert n == target
+
+
+@pytest.mark.parametrize("window, dt", [(100.0, 0.3), (100.05, 0.1), (np.inf, 0.1),
+                                        (np.nan, 0.1), (0.0, 0.1), (100.0, 0.0),
+                                        (100.0, np.inf)])
+def test_calibration_refuses_window_not_multiple_of_dt(params, window, dt):
+    # unchecked, dt=0.3 calibrated over 333 steps (99.9 ms) and inf overflowed
+    with pytest.raises(ValueError):
+        calibrate_ik(params, window=window, dt=dt)
+
+
+@pytest.mark.parametrize("window, dt", [(100.0, 0.3), (np.inf, 0.1), (-1.0, 0.1)])
+def test_spike_times_refuse_window_not_multiple_of_dt(params, window, dt):
+    with pytest.raises(ValueError):
+        spikes_under_constant_current(params, I_K_DEFAULT, window, dt)
+
+
+def bisect_ik(params, window, target, dt):
+    """The calibration as a bisection over single-neuron runs, one run per
+    probed grid point: the reference that the population search must match."""
+    if target * params.t_ref >= window + 1e-9:
+        max_by_ref = int(np.ceil(window / params.t_ref)) if params.t_ref > 0 else target
+        raise NumericError(
+            f"target {target} cannot fit in {window} ms with t_ref={params.t_ref} ms "
+            f"(refractory cap ~{max_by_ref} spikes)")
+
+    count = lambda n: spikes_under_constant_current(params, n * GRID, window, dt).size
+
+    hi = max(1, int(round(params.rheobase / GRID)))
+    for _ in range(64):
+        if count(hi) >= target:
+            break
+        hi *= 2
+    else:
+        raise NumericError(
+            f"spike count saturates at {count(hi)} < target {target}; "
+            "target unreachable for these parameters")
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if count(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+
+    got = count(hi)
+    if got != target:
+        raise NumericError(
+            f"no current yields exactly {target} spikes: count jumps to {got} "
+            f"at {hi * GRID:.1f} pA")
+    return round(hi * GRID, 1)
+
+
+def _outcome(calibrate, params, target, dt):
+    """The calibrated current, or the NumericError's message."""
+    try:
+        return calibrate(params, 100.0, target, dt)
+    except NumericError as e:
+        return str(e)
+
+
+def _sweep_cases(n, seed=17):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        params = NeuronParams(tau_m=rng.uniform(2.0, 20.0), t_ref=rng.uniform(0.0, 6.0),
+                              alpha1=rng.uniform(0.0, 60.0), omega=rng.uniform(-66.0, -40.0))
+        yield params, int(rng.integers(1, 21)), float(rng.choice([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("params, target, dt", [
+    *_sweep_cases(8),
+    (NeuronParams(t_ref=6.0), 17, 0.1),                     # refractory cap
+    (NeuronParams(t_ref=2.05), 47, 0.2),                    # count saturates at 46
+    (NeuronParams(t_ref=0.0, alpha1=0.0, alpha2=0.0), 3, 0.2),  # count jumps 0 -> 294
+])
+def test_population_search_matches_bisection(params, target, dt):
+    assert _outcome(calibrate_ik, params, target, dt) == _outcome(bisect_ik, params, target, dt)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.2])
+def test_population_counts_match_single_neuron_runs(params, dt):
+    currents = np.linspace(0.0, 3.0 * I_K_DEFAULT, 13)
+    counts = _spike_counts(params, currents, 100.0, dt)
+    assert counts.tolist() == [len(spikes_under_constant_current(params, I, 100.0, dt))
+                               for I in currents]
