@@ -154,10 +154,6 @@ CHUNK = 32
 RASTER_BYTES = 256 * 2**20
 
 
-def _pixels_of(img) -> np.ndarray:
-    return img.pixels if isinstance(img, ImageSample) else np.asarray(img, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class Raster:
     """One image's spikes over a range of neurons: the neurons that fire in
@@ -195,21 +191,28 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: 
               enc: EncodingConfig | None = None, rasters: list[Raster] | tuple = (),
               plastic: bool = False) -> list[Raster]:
     """The step loop: the stages `net.stages[span]` for a batch of images.
-    A range that starts at the input stage takes the `images`, which `enc`
-    encodes into the input layer's external current; a later range takes the
-    `rasters` of the stages before it, whose spikes it replays, and no
-    external current. With `plastic` the projections in STDP mode learn,
-    which needs a single image and the whole network. Returns each image's
-    raster of the range. One StepKernel, prepared here, steps the neurons
-    for the whole call, and each learning projection's StdpEvents and each
-    channel's delivery are prepared here too.
+    A range that starts at the input stage takes the `images` (pixels or
+    samples), which `enc` encodes into the input layer's external current; a
+    later range takes the `rasters` of the stages before it, whose spikes it
+    replays, and no external current. With `plastic` the projections in STDP
+    mode learn, which needs a single image and the whole network. Returns
+    each image's raster of the range. One StepKernel, prepared here, steps
+    the neurons for the whole call, and each learning projection's
+    StdpEvents and each channel's delivery are prepared here too.
 
-    Every projection into the range adds a spiking step's input per image,
-    as the sum of its spiking pre neurons' rows of W in ascending id order,
-    into its post layer's slice of that sign's drive, which is delivered
-    as the step ends and integrated from the next step. Those weights are
-    checked once, here: each must be finite and of its projection's sign,
-    and STDP keeps them in its clip band for the rest of the call.
+    Every projection into the range has one route, built here: its post
+    rows of its sign's drive, and where its spiking pre ids lie in a step.
+    A pre layer inside the range is found by its place among the range's
+    layers in the step's flat ids; one below the range by its start and
+    stop positions in each image's raster. A spiking step adds, per image,
+    the sum of those pre neurons' rows of W in ascending id order into the
+    drive, which is delivered as the step ends and integrated from the next
+    step. For one image and one drive cell the projections add in
+    `net.wiring` order, so the routes stay one list in that order, and each
+    image's raster is bit-identical to the image simulated alone through the
+    whole network. The weights are checked once, here: each must be finite
+    and of its projection's sign, and STDP keeps them in its clip band for
+    the rest of the call.
     """
     params, dt, n_steps = net.params, sim.dt, sim.n_steps
     layers = [layer for stage in net.stages[span] for layer in stage]
@@ -218,7 +221,7 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: 
     inp = net.input_layer
     I_ext = np.zeros((batch, n), dtype=np.float64)
     for row, img in zip(I_ext, images):
-        px = _pixels_of(img)
+        px = np.asarray(getattr(img, "pixels", img), dtype=np.float64)
         if px.shape != (net.config.rows, net.config.cols):
             raise ValueError(f"image shape {px.shape} != ({net.config.rows}, {net.config.cols})")
         row[inp.start - lo:inp.stop - lo] = encode_image(px, enc)
@@ -232,57 +235,53 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: 
             _check_delivery(pop.W, pop.sign)
         except ValueError as err:
             raise ValueError(f"{pop.name}: {err}") from None
-    # per pre layer before the range: where its spikes lie in each image's
-    # raster, as (steps, images) start and stop positions
-    feeds = []
+
+    # a lone image steps as a 1-D population: numpy runs it with less
+    # overhead per call than a (1, n) batch
+    shape = (n,) if batch == 1 else (batch, n)
+    state = new_state(shape, params)
+    step = StepKernel(state, params, I_ext.reshape(shape), dt)
+    # one eligibility trace per neuron
+    trace = np.zeros(n, dtype=np.float64)
+    trace_decay = math.exp(-dt / TAU_TRACE)
+    # per sign: its pending drive, one row per image, and its channel's y1
+    # and delivery factor (the drive delivered in the state's shape)
+    drive = {sign: np.zeros((batch, n), dtype=np.float64) for sign in SIGNS}
+    deliveries = [(pending.reshape(shape), *_channel(state, sign, params))
+                  for sign, pending in drive.items()]
+    # in the flat (image, neuron) index of a step's ids, image b's layer j
+    # starts at edges[b * m + j], and its last layer ends at edges[b * m + m - 1]
+    m = len(layers) + 1
+    edges = (np.arange(batch)[:, None] * n
+             + np.array([layer.start - lo for layer in layers] + [n])).ravel()
+    first = edges.tolist()
+    # one route per projection into the range, in wiring order: its post
+    # rows of the drive per image, the shift per image from a position's id
+    # to its pre layer's local id, and where the pre ids lie: the pre
+    # layer's place j in the range, or, below the range, the (steps, images)
+    # start and stop positions in each image's raster
+    routes = []
     fed = np.zeros(n_steps, dtype=bool)
-    for pre in {pre for _, pre, _ in into if pre.stop <= lo}:
-        start, stop = (np.stack(b, axis=1) for b in zip(*(r.bounds(pre) for r in rasters)))
-        feeds.append((pre, start, stop))
-        fed |= (stop > start).any(axis=1)
+    for pop, pre, post in into:
+        rows = list(drive[pop.sign][:, post.start - lo:post.stop - lo])
+        if pre.start >= lo:
+            j = layers.index(pre)
+            routes.append((pop, rows, first[j::m], j, None))
+        else:
+            start, stop = (np.stack(b, axis=1) for b in zip(*(r.bounds(pre) for r in rasters)))
+            fed |= (stop > start).any(axis=1)
+            routes.append((pop, rows, [pre.start] * batch, None, (start, stop)))
     k0 = 0
     if rasters and params.E_L < params.omega:
         # a neuron at rest without input stays exactly at rest, so the range
         # starts at its first input
         k0 = int(np.argmax(fed)) if fed.any() else n_steps
     fed = fed.tolist()
-
-    # a lone image steps as a 1-D population: numpy runs it with less
-    # overhead per call than a (1, n) batch
-    shape = (n,) if batch == 1 else (batch, n)
-    I_ext = I_ext.reshape(shape)
-    state = new_state(shape, params)
-    step = StepKernel(state, params, I_ext, dt)
-    # one eligibility trace per neuron; each layer's slice is a view into it
-    trace = np.zeros(n, dtype=np.float64)
-    trace_decay = math.exp(-dt / TAU_TRACE)
-    trace_of = {layer.name: trace[layer.start - lo:layer.stop - lo] for layer in layers}
-    # per learning projection: its events, its pre and post layers' names,
+    # per learning projection: its events, its pre and post layers' places,
     # and the traces its pre events read (post) and its post events (pre)
-    plastic = [(StdpEvents(pop), pre.name, post.name, trace_of[post.name], trace_of[pre.name])
+    plastic = [(StdpEvents(pop), layers.index(pre), layers.index(post),
+                trace[post.start - lo:post.stop - lo], trace[pre.start - lo:pre.stop - lo])
                for pop, pre, post in learning]
-    # the layer boundaries of every image in the flat (image, neuron) index,
-    # and per image the (name, shift to a layer-local id) of each layer
-    m = len(layers) + 1
-    edges = (np.arange(batch)[:, None] * n
-             + np.array([layer.start - lo for layer in layers] + [n])).ravel()
-    local_of = [[(layer.name, b * n + layer.start - lo) for layer in layers]
-                for b in range(batch)]
-
-    def by_layer(ids: np.ndarray, b: int, cut: list[int]) -> dict[str, np.ndarray]:
-        """Image b's spiking ids per layer, local to it, from the positions
-        `cut` of its layer boundaries among the flat `ids`."""
-        return {name: ids[x:y] - to_local
-                for (name, to_local), x, y in zip(local_of[b], cut, cut[1:])}
-    drive = {sign: np.zeros(shape, dtype=np.float64) for sign in SIGNS}
-    # per projection: its pre layer's name and, per image, its post slice of
-    # the drive of its sign
-    targets = []
-    for pop, pre, post in into:
-        into_post = drive[pop.sign][..., post.start - lo:post.stop - lo]
-        targets.append((pop, pre.name, [into_post] if batch == 1 else list(into_post)))
-    # per sign: its pending drive, and its channel's y1 and delivery factor
-    deliveries = [(pending, *_channel(state, sign, params)) for sign, pending in drive.items()]
     # per spiking step: the step, its flat ids, and where each image's ids
     # begin among them (and the last one's end)
     steps: list[int] = []
@@ -295,51 +294,41 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: 
             trace *= trace_decay
         if not ids.size and not fed[k]:
             continue
-        # image -> layer -> its spiking ids this step (a name hashes faster
-        # than a Layer)
-        spikes: dict[int, dict[str, np.ndarray]] = {}
         if ids.size:
+            # the positions of every image's layer edges among the ids
             at = np.searchsorted(ids, edges).tolist()
             steps.append(k)
             fired.append(ids)
-            if batch == 1:      # phase 1 runs this on almost every step
-                spikes[0] = by_layer(ids, 0, at)
-            else:
-                cuts.append(at[::m] + at[-1:])
-                for b in range(batch):
-                    cut = at[b * m:(b + 1) * m]
-                    if cut[0] < cut[-1]:
-                        spikes[b] = by_layer(ids, b, cut)
-        if fed[k]:
-            for pre, start, stop in feeds:
-                x, y = start[k], stop[k]
-                for b in np.flatnonzero(y > x).tolist():
-                    spikes.setdefault(b, {})[pre.name] = (
-                        rasters[b].ids[x[b]:y[b]] - pre.start)
+            cuts.append(at[::m] + at[-1:])
         if learning:
-            local = spikes[0]
-            # pre events read the post traces before this step's spikes bump
-            # them, post events the pre traces after: coincident pairs potentiate
-            for events, pre_name, _, post_trace, _ in plastic:
-                if local[pre_name].size:
-                    events.on_pre(local[pre_name], post_trace)
+            # one image: layer j's ids lie at at[j]:at[j + 1]. Pre events
+            # read the post traces before this step's spikes bump them, post
+            # events the pre traces after: coincident pairs potentiate
+            for events, j, _, post_trace, _ in plastic:
+                if at[j] < at[j + 1]:
+                    events.on_pre(ids[at[j]:at[j + 1]] - first[j], post_trace)
             trace[ids] += 1.0
-            for events, _, post_name, _, pre_trace in plastic:
-                if local[post_name].size:
-                    events.on_post(local[post_name], pre_trace)
+            for events, _, j, _, pre_trace in plastic:
+                if at[j] < at[j + 1]:
+                    events.on_post(ids[at[j]:at[j + 1]] - first[j], pre_trace)
         # deliveries use the weights as updated by this step's plasticity
-        for b, local in spikes.items():
-            for pop, pre_name, into_post in targets:
-                pre_ids = local.get(pre_name)
-                if pre_ids is not None and pre_ids.size:
-                    into_post[b] += pop.summed_input(pre_ids)
+        for pop, rows, shift, j, bounds in routes:
+            if j is not None:
+                if ids.size:
+                    for row, x, y, s in zip(rows, at[j::m], at[j + 1::m], shift):
+                        if x < y:
+                            row += pop.summed_input(ids[x:y] - s)
+            elif fed[k]:
+                x, y = bounds[0][k], bounds[1][k]
+                for b in np.flatnonzero(y > x).tolist():
+                    rows[b] += pop.summed_input(rasters[b].ids[x[b]:y[b]] - shift[b])
         for pending, y1, gain in deliveries:
             if pending.any():
                 _inject(y1, pending, gain)
                 pending.fill(0.0)
     out = []
     for b in range(batch):
-        parts = fired if batch == 1 else [ids[cut[b]:cut[b + 1]] for ids, cut in zip(fired, cuts)]
+        parts = [ids[cut[b]:cut[b + 1]] for ids, cut in zip(fired, cuts)]
         counts = np.zeros(n_steps, dtype=np.int64)
         counts[steps] = [part.size for part in parts]
         ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
@@ -347,12 +336,6 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: 
         out.append(Raster((ids - (b * n - lo)).astype(np.int32),
                           np.concatenate(([0], np.cumsum(counts))).astype(np.int32)))
     return out
-
-
-def _readout(net: NetworkTopology, sim: SimulationConfig,
-             rasters: list[Raster]) -> list[Raster]:
-    """The readout stage of each image, fed by its lower-stage raster."""
-    return _simulate(net, sim, slice(-1, None), rasters=rasters)
 
 
 def present_image(net: NetworkTopology, img, sim: SimulationConfig,
@@ -371,7 +354,8 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     else:
         if plastic:
             raise ValueError("a replayed presentation cannot learn by STDP")
-        events = raster.events() + _readout(net, sim, [raster])[0].events()
+        readout = _simulate(net, sim, slice(-1, None), rasters=[raster])[0]
+        events = raster.events() + readout.events()
     return SpikeRecord.from_step_events(events, net.n_neurons, sim.dt, sim.window)
 
 
@@ -635,7 +619,8 @@ def _classify_all(net: NetworkTopology, rasters: _Rasters) -> list[Classificatio
     readout = net.readout_layer
     results = []
     for chunk in rasters.chunks(range(len(rasters.images))):
-        for raster in _readout(net, rasters.sim, [r for _, r in chunk]):
+        for raster in _simulate(net, rasters.sim, slice(-1, None),
+                                rasters=[r for _, r in chunk]):
             ids = raster.ids
             inside = ids[(ids >= readout.start) & (ids < readout.stop)] - readout.start
             counts = np.bincount(inside, minlength=readout.size)

@@ -448,11 +448,20 @@ def same_result(a, b):
 def test_batched_evaluate_equals_classify(monkeypatch, sim, enc, seed):
     # both are checked against the readout counts of the reference loop,
     # which shares no code with the engine
-    monkeypatch.setattr(training, "CHUNK", 3)      # 7 images: chunks of 3, 3, 1
+    monkeypatch.setattr(training, "CHUNK", 3)      # 9 images: chunks of 3, 3, 3
     net = frozen_eval_net(firing_net(seed))
     net.projections["feat_readout"].weight = np.random.default_rng(seed).uniform(
         100.0, 400.0, net.projections["feat_readout"].n_connections)
-    ds = bright_ds(seed)
+    # a silent image between two bright ones, and one bright pixel beside
+    # bright images: the middle chunks hold rows that never spike, or barely,
+    # next to rows that do
+    dark = np.zeros((4, 4))
+    lone = dark.copy()
+    lone[1, 2] = 1.0
+    samples = bright_ds(seed).samples
+    samples[4:4] = [ImageSample(pixels=dark, label=0, source_id="dark")]
+    samples[6:6] = [ImageSample(pixels=lone, label=1, source_id="lone")]
+    ds = Dataset(samples=samples, n_classes=2)
     batched = training._classify_all(net, training._Rasters(net, ds, sim, enc))
     single = [classify(net, s, sim, enc) for s in ds]
     readout = net.readout_layer
