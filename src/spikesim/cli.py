@@ -125,6 +125,9 @@ def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
             raise UsageError("cifar10 dataset needs --data or a data_dir config key")
         ds = load_cifar10(root, split=split)
     elif kind == "synthetic":
+        if data_dir is not None:
+            raise UsageError("--data applies to the cifar10 dataset only, "
+                             "and this config's dataset is synthetic")
         per_class = _get(cfg, f"synth_{split}_per_class", 50 if split == "train" else 20)
         seed = _get(cfg, "synth_seed", 1)
         if split == "test":
@@ -137,6 +140,9 @@ def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
         raise DataFormatError(f"unknown dataset kind {kind!r}")
     limit = _size(cfg, f"limit_{split}")
     classes = _size(cfg, "limit_classes")
+    if classes > ds.n_classes:
+        raise DataFormatError(f"config key 'limit_classes' is {classes}, but the "
+                              f"dataset has only {ds.n_classes} classes")
     if classes:
         ds = Dataset(samples=[s for s in ds.samples if s.label < classes],
                      n_classes=classes,

@@ -75,6 +75,9 @@ class Dataset:
                 raise ValueError(f"{s.source_id}: label {s.label} >= {self.n_classes}")
         if not self.class_names:
             self.class_names = tuple(f"class_{k}" for k in range(self.n_classes))
+        if len(self.class_names) != self.n_classes:
+            raise ValueError(f"{len(self.class_names)} class names for "
+                             f"{self.n_classes} classes")
 
     def __len__(self) -> int:
         return len(self.samples)

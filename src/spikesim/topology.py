@@ -18,6 +18,9 @@ Five projections, in their fixed serialization order:
                    excitatory
   readout_lateral  readout -> readout, cross-class pairs only, inhibitory
 
+Each is wired by a boolean (pre, post) mask from one rule table, `_MASKS`:
+its connections are the True cells, pre-major, which is the checkpoint order.
+
 The layers group into simulation stages (`stage_table`): input, then
 feature with inhib (the relay that closes its lateral inhibition loop), then
 readout. Spikes flow only forward between stages, so once phase 1 ends the
@@ -39,10 +42,7 @@ from .neuron import NeuronParams, _require_finite
 from .plasticity import SynapsePopulation
 
 # every projection, in serialization order: pre layer, post layer, sign and
-# wiring rule. A rule is a `connect` rule or one of the readout's two, which
-# read the config: "partitionable" is all-to-all unless
-# feat_readout_partitioned, "cross_class" pairs readout neurons of different
-# classes.
+# wiring rule, a key of the rule table `_MASKS`
 PROJECTIONS = {"input_feat": ("input", "feature", "excitatory", "all_to_all"),
                "feat_inhib": ("feature", "inhib", "excitatory", "one_to_one"),
                "inhib_feat": ("inhib", "feature", "inhibitory", "one_to_all_except_partner"),
@@ -163,6 +163,22 @@ class NetworkConfig:
 
 # -- connection rules -------------------------------------------------------
 
+# every wiring rule: its (pre, post) connection mask from pre ids as a column,
+# post ids as a row and the config. The readout's two, after `connect`'s three,
+# read the config: "partitionable" gives each readout neuron only its own
+# feature partition under feat_readout_partitioned, else all of them, and
+# "cross_class" pairs readout neurons of different classes.
+_MASKS = {
+    "all_to_all": lambda pre, post, cfg: True,
+    "one_to_one": lambda pre, post, cfg: pre == post,
+    "one_to_all_except_partner": lambda pre, post, cfg: pre != post,
+    "partitionable": lambda pre, post, cfg: (not cfg.feat_readout_partitioned
+                                             or pre // (pre.size // post.size) == post),
+    "cross_class": lambda pre, post, cfg: (pre // cfg.neurons_per_class
+                                           != post // cfg.neurons_per_class),
+}
+_CONNECT_RULES = ("all_to_all", "one_to_one", "one_to_all_except_partner")
+
 
 def connect(rule: str, n_pre: int, n_post: int) -> tuple[np.ndarray, np.ndarray]:
     """Generate (pre_index, post_index) arrays for a wiring rule.
@@ -173,53 +189,26 @@ def connect(rule: str, n_pre: int, n_post: int) -> tuple[np.ndarray, np.ndarray]
     """
     if n_pre < 1 or n_post < 1:
         raise ValueError("populations must be non-empty")
-    if rule == "all_to_all":
-        pre = np.repeat(np.arange(n_pre), n_post)
-        post = np.tile(np.arange(n_post), n_pre)
-    elif rule == "one_to_one":
-        if n_pre != n_post:
-            raise ValueError(f"one_to_one needs equal sizes, got {n_pre} != {n_post}")
-        pre = np.arange(n_pre)
-        post = np.arange(n_post)
-    elif rule == "one_to_all_except_partner":
-        if n_pre != n_post:
-            raise ValueError(
-                f"one_to_all_except_partner needs equal sizes, got {n_pre} != {n_post}")
-        pre_g, post_g = np.meshgrid(np.arange(n_pre), np.arange(n_post), indexing="ij")
-        keep = pre_g != post_g
-        pre, post = pre_g[keep], post_g[keep]
-    else:
+    if rule not in _CONNECT_RULES:
         raise ValueError(f"unknown wiring rule {rule!r}")
-    return pre.astype(np.int64), post.astype(np.int64)
+    return _wire(rule, n_pre, n_post)
 
 
-def _cross_class_pairs(n_classes: int, per_class: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered readout pairs whose class labels differ."""
-    n = n_classes * per_class
-    cls = np.arange(n) // per_class
-    pre, post = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    keep = cls[pre] != cls[post]
-    return pre[keep].astype(np.int64), post[keep].astype(np.int64)
+def _wire(rule: str, n_pre: int, n_post: int,
+          cfg: NetworkConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(pre_index, post_index) of a `_MASKS` rule: the True cells of its
+    mask, pre-major."""
+    if rule in ("one_to_one", "one_to_all_except_partner") and n_pre != n_post:
+        raise ValueError(f"{rule} needs equal sizes, got {n_pre} != {n_post}")
+    mask = _MASKS[rule](np.arange(n_pre)[:, None], np.arange(n_post), cfg)
+    # split flat ids: np.nonzero's strided views cost SynapsePopulation a copy
+    return np.divmod(np.flatnonzero(np.broadcast_to(mask, (n_pre, n_post))), n_post)
 
 
 def _jittered(rng: np.random.Generator, mean: float, jitter: float, size: int) -> np.ndarray:
     lo = mean - jitter * abs(mean)
     hi = mean + jitter * abs(mean)
     return rng.uniform(lo, hi, size)
-
-
-def _wire(rule: str, cfg: NetworkConfig, n_pre: int,
-          n_post: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pre_index, post_index) arrays of a PROJECTIONS wiring rule."""
-    if rule == "cross_class":
-        return _cross_class_pairs(cfg.n_classes, cfg.neurons_per_class)
-    if rule == "partitionable":
-        if not cfg.feat_readout_partitioned:
-            return connect("all_to_all", n_pre, n_post)
-        # each readout neuron sees only its own partition of the feature layer
-        pre = np.arange(n_pre, dtype=np.int64)
-        return pre, pre // (n_pre // n_post)
-    return connect(rule, n_pre, n_post)
 
 
 @dataclass
@@ -293,7 +282,7 @@ def build_network(cfg: NetworkConfig, params: NeuronParams | None = None) -> Net
     projections: dict[str, SynapsePopulation] = {}
     for name, (pre_layer, post_layer, sign, rule) in PROJECTIONS.items():
         n_pre, n_post = layers[pre_layer].size, layers[post_layer].size
-        pre, post = _wire(rule, cfg, n_pre, n_post)
+        pre, post = _wire(rule, n_pre, n_post, cfg)
         mean = getattr(cfg, f"w_{name}")
         # jittered below the readout, constant into it (the search's target)
         weight = (np.full(pre.size, mean) if post_layer == "readout"

@@ -21,10 +21,10 @@ a time, since STDP writes the weights on every spiking step. One step loop,
 `_simulate`, serves all of these, and each image's result is bit-identical
 to a presentation that simulates the whole network alone.
 
-Phase 1 trains input->feature, feature->inhib, and inhib->feature with STDP
-while the readout projections stay static. Phase 2 freezes those three and
-trains feature->readout (and optionally the lateral readout inhibition) with
-the supervised window rule, applied once per presentation against the
+Phase 1 trains `net.lower_projections` with STDP while the readout's stay
+static. Phase 2 freezes those and trains every other projection (the lateral
+readout inhibition only under `train_readout_lateral`) from its pre layer's
+spikes by the supervised window rule, once per presentation, against the
 presented class's teacher train. Classification is winner-takes-all over
 summed per-class readout spike counts, ties resolved to the lowest class
 index and flagged. `classify` is a one-image `evaluate`; neither learns, so
@@ -428,14 +428,14 @@ def set_phase1_modes(net: NetworkTopology) -> NetworkTopology:
 
 
 def set_phase2_modes(net: NetworkTopology) -> NetworkTopology:
-    """Freeze the STDP projections; supervised rule on the readout wiring."""
-    for name in net.lower_projections:
-        freeze(net.projections[name])
-    net.projections["feat_readout"].plasticity = ResumeParams()
-    if net.config.train_readout_lateral:
-        net.projections["readout_lateral"].plasticity = ResumeParams()
-    else:
-        freeze(net.projections["readout_lateral"])
+    """Freeze the STDP projections; the supervised rule on every other one,
+    the readout's lateral inhibition only under train_readout_lateral."""
+    for name, pop in net.projections.items():
+        if name in net.lower_projections or (
+                name == "readout_lateral" and not net.config.train_readout_lateral):
+            freeze(pop)
+        else:
+            pop.plasticity = ResumeParams()
     return net
 
 
@@ -572,9 +572,10 @@ def _train_readout(net: NetworkTopology, rasters: _Rasters, epochs: int,
     set_phase2_modes(net)
     teachers = _teacher_records(net, sim, enc)
     since = rasters.built, rasters.replayed
-    p4 = net.projections["feat_readout"]
-    p5 = net.projections["readout_lateral"]
-    feat, readout = net.feature_layer, net.readout_layer
+    readout = net.readout_layer
+    # the projections in resume mode, in wiring order, with their pre layers
+    learning = [(net.projections[name], pre) for name, (pre, _) in net.wiring.items()
+                if net.projections[name].mode == "resume"]
 
     def step(sample: ImageSample) -> bool:
         # a presentation that is not plastic learns nothing: classify() agrees
@@ -582,10 +583,8 @@ def _train_readout(net: NetworkTopology, rasters: _Rasters, epochs: int,
         teacher = teachers[sample.label]
         actual = record.subset(readout.start, readout.stop)
         predicted, _, _ = _predict(net, actual.counts())
-        pre = record.subset(feat.start, feat.stop)
-        resume_update(p4, teacher, actual, pre, sim.window)
-        if p5.mode == "resume":
-            resume_update(p5, teacher, actual, actual, sim.window)
+        for pop, pre in learning:
+            resume_update(pop, teacher, actual, record.subset(pre.start, pre.stop), sim.window)
         return predicted == sample.label
 
     result = _run_epochs(net, rasters.images, sim, 2, epochs, step, out_dir,

@@ -362,3 +362,31 @@ def test_wrong_signed_mean_weight_is_refused_by_name(tmp_path, capsys, key, w):
                  "--out", str(tmp_path / "o")]) == 2
     assert f"{key} must be non-" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "search-weights", "test"])
+def test_data_flag_on_a_synthetic_config_is_a_usage_error(tmp_path, cfg_path, capsys,
+                                                          command):
+    # refused before anything is written, rather than ignored
+    ckpt = untrained_phase1_checkpoint(cfg_path, tmp_path / "p1.bin")
+    out = str(tmp_path / "o")
+    argv = {"train": ["train", "--phase", "1", "--out", out],
+            "search-weights": ["search-weights", "--from-checkpoint", ckpt, "--out", out],
+            "test": ["test", "--checkpoint", ckpt]}[command]
+    assert main([*argv, "--config", cfg_path, "--data", str(tmp_path / "missing")]) == 1
+    assert "--data applies to the cifar10 dataset only" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_limit_classes_above_the_class_count_is_a_data_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, limit_classes=5)
+    ckpt = untrained_phase1_checkpoint(cfg, tmp_path / "p1.bin")
+    assert main(["test", "--config", cfg, "--checkpoint", ckpt]) == 2
+    assert "'limit_classes' is 5" in capsys.readouterr().err
+    assert main(["train", "--phase", "1", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "'limit_classes' is 5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # every class of the dataset is still a valid limit
+    cfg, net_cfg, _, _ = load_run_config(write_cfg(tmp_path / "c.cfg", limit_classes=2))
+    assert resolve_dataset(cfg, net_cfg, "test", None).n_classes == 2

@@ -108,6 +108,15 @@ def test_image_sample_validation():
         ImageSample(pixels=np.ones((2, 2)), label=-1, source_id="x")
 
 
+def test_dataset_refuses_class_names_of_the_wrong_count():
+    sample = ImageSample(pixels=np.zeros((2, 2)), label=1, source_id="x")
+    with pytest.raises(ValueError, match="1 class names for 2 classes"):
+        Dataset([sample], n_classes=2, class_names=("only",))
+    with pytest.raises(ValueError, match="3 class names for 2 classes"):
+        Dataset([sample], n_classes=2, class_names=("a", "b", "c"))
+    assert Dataset([sample], n_classes=2).class_names == ("class_0", "class_1")
+
+
 # -- CIFAR-10 -------------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ import pytest
 from spikesim import SpikeRecord, SynapsePopulation
 from spikesim.plasticity import (ResumeParams, StdpParams, resume_update,
                                  stdp_on_post, stdp_on_pre)
-from spikesim.topology import _cross_class_pairs, connect
+from spikesim.topology import NetworkConfig, _wire, connect
 
 
 # -- per-connection references ------------------------------------------------
@@ -110,7 +110,8 @@ def wiring(rule, rng):
     if rule == "cross_class":
         n_classes, per_class = int(rng.integers(2, 5)), int(rng.integers(1, 5))
         n = n_classes * per_class
-        return (*_cross_class_pairs(n_classes, per_class), n, n)
+        cfg = NetworkConfig(n_classes=n_classes, neurons_per_class=per_class)
+        return (*_wire("cross_class", n, n, cfg), n, n)
     assert rule == "partitioned"
     n_post, part = int(rng.integers(1, 10)), int(rng.integers(1, 5))
     pre = np.arange(n_post * part)

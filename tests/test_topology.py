@@ -45,6 +45,51 @@ def test_connect_rules():
         connect("nonsense", 2, 2)
 
 
+def reference_pairs(rule, n_pre, n_post, per_class=None):
+    """The index constructions the rule table replaced."""
+    if rule == "all_to_all":
+        return np.repeat(np.arange(n_pre), n_post), np.tile(np.arange(n_post), n_pre)
+    if rule == "one_to_one":
+        return np.arange(n_pre), np.arange(n_post)
+    if rule == "partitioned":
+        pre = np.arange(n_pre)
+        return pre, pre // (n_pre // n_post)
+    pre, post = np.meshgrid(np.arange(n_pre), np.arange(n_post), indexing="ij")
+    keep = pre != post if rule == "one_to_all_except_partner" else (
+        pre // per_class != post // per_class)
+    return pre[keep], post[keep]
+
+
+def same_order(got, want):
+    return all(g.dtype == np.int64 and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_connection_order_is_the_reference_order():
+    # the connection order is the checkpoint layout: every rule lists its
+    # pairs in exactly the order of the construction it replaced
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        n_pre, n_post, n = (int(k) for k in rng.integers(1, 40, size=3))
+        assert same_order(connect("all_to_all", n_pre, n_post),
+                          reference_pairs("all_to_all", n_pre, n_post))
+        for rule in ("one_to_one", "one_to_all_except_partner"):
+            assert same_order(connect(rule, n, n), reference_pairs(rule, n, n))
+        # the readout's rules through build_network: |feature| = |readout| * part
+        n_classes, npc, part = (int(k) for k in rng.integers(1, 6, size=3))
+        n_read = n_classes * npc
+        for partitioned in (False, True):
+            net = build_network(NetworkConfig(
+                rows=2, cols=2 * n_read * part, n_classes=n_classes, neurons_per_class=npc,
+                feat_readout_partitioned=partitioned))
+            lateral = net.projections["readout_lateral"]
+            assert same_order((lateral.pre_index, lateral.post_index),
+                              reference_pairs("cross_class", n_read, n_read, npc))
+            readout = net.projections["feat_readout"]
+            rule = "partitioned" if partitioned else "all_to_all"
+            assert same_order((readout.pre_index, readout.post_index),
+                              reference_pairs(rule, n_read * part, n_read))
+
+
 def test_random_config_sweep():
     rng = np.random.default_rng(77)
     for _ in range(50):

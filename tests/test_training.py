@@ -428,7 +428,11 @@ def test_readout_feeding_an_earlier_stage_is_refused():
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_replayed_presentation_equals_full_presentation(sim, enc, seed):
+    # distinct readout weights, so that a replayed feature spike delivered
+    # from the wrong neuron changes the readout
     net = firing_net(seed)
+    net.projections["feat_readout"].weight = np.random.default_rng(seed).uniform(
+        200.0, 400.0, net.projections["feat_readout"].n_connections)
     set_phase2_modes(net)
     ds = bright_ds(seed)
     replays = list(training._Rasters(net, ds, sim, enc).samples(range(len(ds))))
