@@ -39,12 +39,18 @@ _SECTIONS = (
     (NeuronParams, {f"neuron_{f.name}": f for f in fields(NeuronParams)}),
 )
 
+# dataset kind -> the keys that apply to it alone
+_DATASET_KEYS = {
+    "cifar10": ("data_dir",),
+    "synthetic": ("synth_train_per_class", "synth_test_per_class", "synth_noise",
+                  "synth_seed", "synth_test_seed"),
+}
+
 # keys read where they are used: encoding, weight search, dataset
 _OTHER_KEYS = (
-    "i_k", "target", "seed", "search_seed",
-    "dataset", "data_dir", "synth_train_per_class", "synth_test_per_class",
-    "synth_noise", "synth_seed", "synth_test_seed", "limit_train", "limit_test",
-    "limit_classes",
+    "i_k", "target", "seed", "search_seed", "dataset",
+    *(key for keys in _DATASET_KEYS.values() for key in keys),
+    "limit_train", "limit_test", "limit_classes",
 )
 
 # every key a run config may hold (the README config reference)
@@ -117,14 +123,22 @@ def _size(cfg: dict[str, str], key: str) -> int:
 
 def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
                     data_dir: str | None) -> Dataset:
-    """The split's dataset, cut to `limit_classes` and then `limit_<split>`."""
+    """The split's dataset, cut to `limit_classes` and then `limit_<split>`.
+    A key that applies to the other dataset kind alone is refused."""
     kind = cfg.get("dataset", "synthetic")
+    if kind not in _DATASET_KEYS:
+        raise DataFormatError(f"unknown dataset kind {kind!r}")
+    for other, keys in _DATASET_KEYS.items():
+        for key in keys:
+            if other != kind and key in cfg:
+                raise DataFormatError(f"config key {key!r} applies to the {other} dataset "
+                                      f"only, and this config's dataset is {kind}")
     if kind == "cifar10":
         root = data_dir or cfg.get("data_dir")
         if not root:
             raise UsageError("cifar10 dataset needs --data or a data_dir config key")
         ds = load_cifar10(root, split=split)
-    elif kind == "synthetic":
+    else:
         if data_dir is not None:
             raise UsageError("--data applies to the cifar10 dataset only, "
                              "and this config's dataset is synthetic")
@@ -136,8 +150,6 @@ def resolve_dataset(cfg: dict[str, str], net_cfg: NetworkConfig, split: str,
             n_classes=net_cfg.n_classes, rows=net_cfg.rows, cols=net_cfg.cols,
             samples_per_class=per_class,
             noise=_get(cfg, "synth_noise", 0.03), seed=seed)
-    else:
-        raise DataFormatError(f"unknown dataset kind {kind!r}")
     limit = _size(cfg, f"limit_{split}")
     classes = _size(cfg, "limit_classes")
     if classes > ds.n_classes:

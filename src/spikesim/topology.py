@@ -21,10 +21,10 @@ Five projections, in their fixed serialization order:
 Each is wired by a boolean (pre, post) mask from one rule table, `_MASKS`:
 its connections are the True cells, pre-major, which is the checkpoint order.
 
-The layers group into simulation stages (`stage_table`): input, then
-feature with inhib (the relay that closes its lateral inhibition loop), then
-readout. Spikes flow only forward between stages, so once phase 1 ends the
-stages below the readout are a fixed function of the image.
+The layers are declared once, in neuron-index order and grouped into the two
+simulation stages, in `STAGES`: input, feature and inhib, then readout.
+Spikes flow only forward between stages, so once phase 1 ends the lower
+stage is a fixed function of the image.
 
 Each class also gets one teacher: a programmable spike source used purely as
 the supervision signal of the readout's learning rule during phase 2. Teachers
@@ -41,6 +41,12 @@ import numpy as np
 from .neuron import NeuronParams, _require_finite
 from .plasticity import SynapsePopulation
 
+# every layer, in neuron-index order, grouped into simulation stages. The
+# split is the training phases': the lower stage is what phase 1 trains by
+# STDP and what later calls replay from its raster, the readout what phase 2
+# trains. Nesting keeps each stage a contiguous range of neuron ids.
+STAGES = (("input", "feature", "inhib"), ("readout",))
+
 # every projection, in serialization order: pre layer, post layer, sign and
 # wiring rule, a key of the rule table `_MASKS`
 PROJECTIONS = {"input_feat": ("input", "feature", "excitatory", "all_to_all"),
@@ -51,30 +57,19 @@ PROJECTIONS = {"input_feat": ("input", "feature", "excitatory", "all_to_all"),
 PROJECTION_ORDER = tuple(PROJECTIONS)
 
 
-def stage_table(layer_names, projections) -> tuple[tuple[str, ...], ...]:
-    """Group the layers, in neuron-index order, into simulation stages, by
-    the pre and post layers of a projection table like PROJECTIONS.
-
-    A layer whose every input comes from the stage just before it (a relay,
-    as inhib hears only feature) joins that stage; any other layer starts a
-    new one. A stage may feed itself and later stages only: a projection
-    into an earlier stage is refused, since that stage could then not be
-    simulated before the later one.
-    """
-    stages: list[list[str]] = []
-    for name in layer_names:
-        inputs = {pre for pre, post, *_ in projections.values() if post == name}
-        if stages and inputs and inputs <= set(stages[-1]):
-            stages[-1].append(name)
-        else:
-            stages.append([name])
+def check_stages(stages, projections) -> None:
+    """Refuse a projection table like PROJECTIONS in which a projection runs
+    from a stage back into an earlier one: a stage may feed itself and later
+    stages only, else it could not be simulated before the later one."""
     stage_of = {name: i for i, stage in enumerate(stages) for name in stage}
     for proj, (pre, post, *_) in projections.items():
         if stage_of[pre] > stage_of[post]:
             raise ValueError(
                 f"projection {proj} runs from stage {stages[stage_of[pre]]} back into "
                 f"the earlier stage {stages[stage_of[post]]}")
-    return tuple(tuple(stage) for stage in stages)
+
+
+check_stages(STAGES, PROJECTIONS)
 
 
 @dataclass(frozen=True)
@@ -223,31 +218,26 @@ class NetworkTopology:
     readout_layer: Layer
     projections: dict[str, SynapsePopulation]
     class_of: np.ndarray            # readout-local index -> class id
+    # STAGES resolved to this network's Layer objects, and flat
+    stages: tuple[tuple[Layer, ...], ...] = field(init=False, repr=False)
+    layers: tuple[Layer, ...] = field(init=False, repr=False)
     # PROJECTIONS' pre and post layers resolved to this network's Layer objects
     wiring: dict[str, tuple[Layer, Layer]] = field(init=False, repr=False)
-    # stage_table over this network's layers
-    stages: tuple[tuple[Layer, ...], ...] = field(init=False, repr=False)
-    # the projections into the stages below the readout: phase 1 trains
-    # them, phase 2 freezes them, and a phase-1 checkpoint hands them over
-    lower_projections: tuple[str, ...] = field(init=False, repr=False)
+    # the projections into the lower stage: phase 1 trains them, phase 2
+    # freezes them, and a phase-1 checkpoint hands them over
+    lower_projections = tuple(name for name, (_, post, *_) in PROJECTIONS.items()
+                              if post not in STAGES[-1])
 
     def __post_init__(self) -> None:
+        self.stages = tuple(tuple(getattr(self, f"{name}_layer") for name in stage)
+                            for stage in STAGES)
+        self.layers = sum(self.stages, ())
         self.wiring = {name: (self.layer_of(pre), self.layer_of(post))
                        for name, (pre, post, *_) in PROJECTIONS.items()}
-        names = stage_table([layer.name for layer in self.layers], PROJECTIONS)
-        self.stages = tuple(tuple(map(self.layer_of, stage)) for stage in names)
-        lower = {name for stage in names[:-1] for name in stage}
-        self.lower_projections = tuple(name for name, (_, post, *_) in PROJECTIONS.items()
-                                       if post in lower)
 
     @property
     def n_neurons(self) -> int:
-        return self.readout_layer.stop
-
-    @property
-    def layers(self) -> tuple[Layer, ...]:
-        return (self.input_layer, self.feature_layer,
-                self.inhib_layer, self.readout_layer)
+        return self.layers[-1].stop
 
     def layer_of(self, name: str) -> Layer:
         for layer in self.layers:
@@ -273,19 +263,21 @@ def build_network(cfg: NetworkConfig, params: NeuronParams | None = None) -> Net
     PROJECTIONS order from a single generator seeded by cfg.seed.
     """
     params = params or NeuronParams()
+    sizes = {"input": cfg.n_input, "feature": cfg.n_feature, "inhib": cfg.n_feature,
+             "readout": cfg.n_readout}
     layers, start = {}, 0
-    for name, size in (("input", cfg.n_input), ("feature", cfg.n_feature),
-                       ("inhib", cfg.n_feature), ("readout", cfg.n_readout)):
-        layers[name] = Layer(name, start, start + size)
-        start += size
+    for name in sum(STAGES, ()):
+        layers[name] = Layer(name, start, start + sizes[name])
+        start += sizes[name]
     rng = np.random.default_rng(cfg.seed)
     projections: dict[str, SynapsePopulation] = {}
     for name, (pre_layer, post_layer, sign, rule) in PROJECTIONS.items():
         n_pre, n_post = layers[pre_layer].size, layers[post_layer].size
         pre, post = _wire(rule, n_pre, n_post, cfg)
         mean = getattr(cfg, f"w_{name}")
-        # jittered below the readout, constant into it (the search's target)
-        weight = (np.full(pre.size, mean) if post_layer == "readout"
+        # jittered into the lower stage, constant into the last (the
+        # readout, whose feature weight the search sets)
+        weight = (np.full(pre.size, mean) if post_layer in STAGES[-1]
                   else _jittered(rng, mean, cfg.weight_jitter, pre.size))
         projections[name] = SynapsePopulation(
             name=name, pre_index=pre, post_index=post, weight=weight,

@@ -7,19 +7,20 @@ online as spikes happen. Neuron state and the eligibility traces (one per
 neuron) live only inside a presentation, so presentations are independent
 and checkpoints at presentation boundaries are exact resume points.
 
-The engine runs the network by stages (`topology.stage_table`): input,
-feature with inhib, readout. Spikes flow only forward between stages, so
-once the projections into the lower stages are frozen (phase 2, the weight
-search, evaluation) an image's lower-stage spikes depend on the image alone.
-Those calls simulate the lower stages once per image, CHUNK images at a time
-with state shaped (images, neurons), keep each image's raster for the rest
-of the call, and replay its feature spikes into the readout stage, which
-evaluation also runs batched. Each such call builds its own raster set
-(`_Rasters`) and passes it on; the weight search builds one and hands it to
-each trial's training and scoring. Phase 1 runs every stage for one image at
-a time, since STDP writes the weights on every spiking step. One step loop,
-`_simulate`, serves all of these, and each image's result is bit-identical
-to a presentation that simulates the whole network alone.
+The engine runs the network by the two stages that `topology.STAGES`
+declares: the lower stage (input, feature, inhib), then the readout. Spikes
+flow only forward between stages, so once the projections into the lower
+stage are frozen (phase 2, the weight search, evaluation) an image's
+lower-stage spikes depend on the image alone. Those calls simulate the lower
+stage once per image, CHUNK images at a time with state shaped (images,
+neurons), keep each image's raster for the rest of the call, and replay its
+feature spikes into the readout stage, which evaluation also runs batched.
+Each such call builds its own raster set (`_Rasters`) and passes it on; the
+weight search builds one and hands it to each trial's training and scoring.
+Phase 1 runs both stages for one image at a time, since STDP writes the
+weights on every spiking step. One step loop, `_simulate`, serves all of
+these, and each image's result is bit-identical to a presentation that
+simulates the whole network alone.
 
 Phase 1 trains `net.lower_projections` with STDP while the readout's stay
 static. Phase 2 freezes those and trains every other projection (the lateral
@@ -146,7 +147,7 @@ class SearchResult:
 
 # -- the presentation engine -------------------------------------------------
 
-# Images simulated together by one batched pass of the frozen lower stages
+# Images simulated together by one batched pass of the frozen lower stage
 # (and of `evaluate`'s readout stage).
 CHUNK = 32
 # Bytes of lower-stage rasters one call keeps for reuse. An image past the
@@ -181,7 +182,7 @@ class Raster:
 
 @dataclass(frozen=True)
 class _Replay(ImageSample):
-    """A sample with the raster of its frozen lower stages: `present_image`
+    """A sample with the raster of its frozen lower stage: `present_image`
     replays the raster and simulates only the readout stage."""
 
     raster: Raster | None = None
@@ -191,7 +192,7 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: 
               enc: EncodingConfig | None = None, rasters: list[Raster] | tuple = (),
               plastic: bool = False) -> list[Raster]:
     """The step loop: the stages `net.stages[span]` for a batch of images.
-    A range that starts at the input stage takes the `images` (pixels or
+    A range that starts at the first stage takes the `images` (pixels or
     samples), which `enc` encodes into the input layer's external current; a
     later range takes the `rasters` of the stages before it, whose spikes it
     replays, and no external current. With `plastic` the projections in STDP
@@ -345,7 +346,7 @@ def present_image(net: NetworkTopology, img, sim: SimulationConfig,
     With plastic=True the STDP projections update online; the supervised rule
     is a batch update owned by run_phase2 (it needs the label). Neuron state
     and traces are created on entry, so back-to-back calls are independent.
-    A sample that carries the raster of its frozen lower stages (phase 2)
+    A sample that carries the raster of its frozen lower stage (phase 2)
     replays it and simulates only the readout stage.
     """
     raster = getattr(img, "raster", None)
@@ -418,7 +419,7 @@ class _Rasters:
 
 
 def set_phase1_modes(net: NetworkTopology) -> NetworkTopology:
-    """STDP on the projections into the lower stages, the readout's static."""
+    """STDP on the projections into the lower stage, the readout's static."""
     for name, pop in net.projections.items():
         if name in net.lower_projections:
             pop.plasticity = StdpParams()
@@ -558,8 +559,8 @@ def run_phase2(net: NetworkTopology, dataset: Dataset, sim: SimulationConfig,
                start_presentation: int = 0) -> PhaseResult:
     """Supervised readout training against per-class teacher trains; each
     presentation is classified before its update (the epoch's train_accuracy).
-    The frozen lower stages of each image are simulated once, and their
-    raster replayed into the readout in every epoch."""
+    The frozen lower stage of each image is simulated once, and its raster
+    replayed into the readout in every epoch."""
     check_labels(net, dataset)
     return _train_readout(net, _Rasters(net, dataset, sim, enc), sim.epochs_phase2,
                           out_dir, start_presentation)
@@ -673,7 +674,7 @@ def monte_carlo_weight_search(net: NetworkTopology, candidates: tuple[float, flo
     scores its accuracy on eval_subset. Ties pick the smaller weight.
     Deterministic for a given seed. The trials differ only in feat_readout,
     so one raster set, built here, serves every trial's training and
-    scoring: the lower stages run once per image for all of them.
+    scoring: the lower stage runs once per image for all of them.
     """
     lo, hi = candidates
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):

@@ -2,6 +2,7 @@
 config handling, manifests, and exit codes."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from spikesim.dataio import (checkpoint_from_network, load_checkpoint, read_kv,
                              write_kv)
 
 from conftest import I_K_DEFAULT, fail_writes
-from test_dataio import write_cifar_dir
+from test_dataio import cifar_record, write_cifar_dir
 
 TINY = {
     "dataset": "synthetic",
@@ -27,6 +28,9 @@ TINY = {
 
 def write_cfg(path, **extra):
     items = dict(TINY)
+    if extra.get("dataset") == "cifar10":
+        # the synth_* keys apply to the synthetic dataset only
+        items = {k: v for k, v in items.items() if not k.startswith("synth_")}
     items.update(extra)
     write_kv(path, items)
     return str(path)
@@ -115,7 +119,8 @@ def test_unknown_config_key_names_the_closest(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-# one value for every key of the README config reference
+# one value for every key of the README config reference, but data_dir, which
+# applies to the cifar10 dataset only (CIFAR_KEYS)
 EVERY_KEY = {
     "rows": 4, "cols": 4, "n_classes": 2, "neurons_per_class": 2,
     "feature_fraction": 0.25, "topology_seed": 5,
@@ -125,21 +130,39 @@ EVERY_KEY = {
     "dt": 0.1, "window": 100.0, "epochs_phase1": 2, "epochs_phase2": 3,
     "checkpoint_interval": 100, "shuffle_seed": 4, "seed": 5, "search_seed": 6,
     "i_k": I_K_DEFAULT, "target": 10,
-    "dataset": "synthetic", "data_dir": "cifar", "synth_train_per_class": 2,
+    "dataset": "synthetic", "synth_train_per_class": 2,
     "synth_test_per_class": 1, "synth_noise": 0.03, "synth_seed": 11,
     "synth_test_seed": 12, "limit_train": 0, "limit_test": 0, "limit_classes": 0,
     **{f"neuron_{k}": v for k, v in vars(NeuronParams()).items()},
 }
 
 
+# the keys of a cifar10 config, with the dataset keys both kinds take
+CIFAR_KEYS = {"dataset": "cifar10", "data_dir": "cifar", "limit_train": 0,
+              "limit_test": 0, "limit_classes": 0}
+
+
 def test_every_documented_key_loads(tmp_path):
-    assert set(EVERY_KEY) == set(CONFIG_KEYS)
+    assert set(EVERY_KEY) | set(CIFAR_KEYS) == set(CONFIG_KEYS)
     path = tmp_path / "all.cfg"
     write_kv(path, EVERY_KEY)
     cfg, net_cfg, sim, params = load_run_config(path)
     assert (net_cfg.rows, net_cfg.seed, sim.epochs_phase2, sim.shuffle_seed) == (4, 5, 3, 4)
     assert params == NeuronParams()
     assert len(resolve_dataset(cfg, net_cfg, "test", None)) == 2
+    # the CIFAR keys in a config of their own, on a one-record test batch
+    (tmp_path / "cifar").mkdir()
+    (tmp_path / "cifar" / "test_batch.bin").write_bytes(cifar_record(7))
+    path = tmp_path / "cifar.cfg"
+    write_kv(path, {**CIFAR_KEYS, "data_dir": tmp_path / "cifar"})
+    cfg, net_cfg, _, _ = load_run_config(path)
+    assert [s.label for s in resolve_dataset(cfg, net_cfg, "test", None)] == [7]
+
+
+def test_readme_config_reference_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    assert [key for key in CONFIG_KEYS if f"`{key}`" not in section] == []
 
 
 def test_config_with_only_ik_loads_the_defaults(tmp_path):
@@ -364,17 +387,40 @@ def test_wrong_signed_mean_weight_is_refused_by_name(tmp_path, capsys, key, w):
     assert not (tmp_path / "o").exists()
 
 
+def command_argv(command, ckpt, out):
+    """The arguments of a `train --phase 1`, `search-weights` or `test` run,
+    but its config."""
+    return {"train": ["train", "--phase", "1", "--out", out],
+            "search-weights": ["search-weights", "--from-checkpoint", ckpt, "--out", out],
+            "test": ["test", "--checkpoint", ckpt]}[command]
+
+
 @pytest.mark.parametrize("command", ["train", "search-weights", "test"])
 def test_data_flag_on_a_synthetic_config_is_a_usage_error(tmp_path, cfg_path, capsys,
                                                           command):
     # refused before anything is written, rather than ignored
     ckpt = untrained_phase1_checkpoint(cfg_path, tmp_path / "p1.bin")
-    out = str(tmp_path / "o")
-    argv = {"train": ["train", "--phase", "1", "--out", out],
-            "search-weights": ["search-weights", "--from-checkpoint", ckpt, "--out", out],
-            "test": ["test", "--checkpoint", ckpt]}[command]
+    argv = command_argv(command, ckpt, str(tmp_path / "o"))
     assert main([*argv, "--config", cfg_path, "--data", str(tmp_path / "missing")]) == 1
     assert "--data applies to the cifar10 dataset only" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "search-weights", "test"])
+@pytest.mark.parametrize("key", ["data_dir", "synth_train_per_class", "synth_test_per_class",
+                                 "synth_noise", "synth_seed", "synth_test_seed"])
+def test_a_key_of_the_other_dataset_kind_is_a_data_error(tmp_path, capsys, command, key):
+    # data_dir on a synthetic config, a synth_* key on a cifar10 one: refused
+    # by name before anything is written, rather than ignored
+    if key == "data_dir":
+        cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, data_dir=tmp_path / "cifar")
+    else:
+        cfg = write_cfg(tmp_path / "c.cfg", i_k=I_K_DEFAULT, dataset="cifar10",
+                        data_dir=tmp_path / "cifar", **{key: TINY[key]})
+    ckpt = untrained_phase1_checkpoint(cfg, tmp_path / "p1.bin")
+    assert main([*command_argv(command, ckpt, str(tmp_path / "o")), "--config", cfg]) == 2
+    kind = "cifar10" if key == "data_dir" else "synthetic"
+    assert f"config key {key!r} applies to the {kind} dataset only" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -86,7 +86,7 @@ def test_from_step_events_validates():
 
 
 def test_from_step_events_takes_step_ordered_lists_back_to_back():
-    # a replayed presentation passes the lower stages' events, then the
+    # a replayed presentation passes the lower stage's events, then the
     # readout's: the steps restart, but each neuron's still increase
     lower = [(2, np.array([0])), (5, np.array([0, 1]))]
     readout = [(1, np.array([2, 3])), (4, np.array([3]))]

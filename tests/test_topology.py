@@ -1,6 +1,8 @@
 """Network construction: layer sizes, projection counts, wiring rules,
 weight initialization bands, and the structural fingerprint."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,33 @@ def test_fingerprint_covers_structure_only():
     other = NetworkConfig(rows=4, cols=4, n_classes=2, neurons_per_class=3)
     assert base.fingerprint() == same.fingerprint()
     assert base.fingerprint() != other.fingerprint()
+
+
+# another valid value for every NetworkConfig field of a 4x4 net
+OTHER_VALUE = {
+    "rows": 8, "cols": 8, "n_classes": 3, "neurons_per_class": 3,
+    "feature_fraction": 0.5, "seed": 1, "w_input_feat": 500.0, "w_feat_inhib": 400.0,
+    "w_inhib_feat": -50.0, "w_feat_readout": 200.0, "w_readout_lateral": -60.0,
+    "weight_jitter": 0.2, "feat_readout_partitioned": True, "train_readout_lateral": False,
+}
+
+
+def test_fingerprint_changes_exactly_with_the_structure():
+    # a new field needs a value here, and so a verdict on the fingerprint
+    assert set(OTHER_VALUE) == {f.name for f in fields(NetworkConfig)}
+    base = NetworkConfig(rows=4, cols=4, n_classes=2, neurons_per_class=2)
+
+    def structure(cfg):
+        net = build_network(cfg)
+        return ([layer.size for layer in net.layers],
+                [(p.pre_index.tolist(), p.post_index.tolist())
+                 for p in net.ordered_projections()])
+
+    for name, value in OTHER_VALUE.items():
+        other = replace(base, **{name: value})
+        assert getattr(other, name) != getattr(base, name)
+        changed = structure(other) != structure(base)
+        assert (other.fingerprint() != base.fingerprint()) == changed, name
 
 
 def test_class_of_groups_contiguous():

@@ -1,6 +1,6 @@
 """Training engine behavior: determinism, reset hygiene, phase separation,
 checkpoint cadence and resume, atomic saves, classification, the weight
-search, and the frozen lower stages replayed from their rasters."""
+search, and the frozen lower stage replayed from its rasters."""
 
 from dataclasses import replace
 
@@ -395,7 +395,7 @@ def test_failed_save_keeps_previous_final_checkpoint(tmp_path, enc, tiny_ds, mon
     assert final.presentations == len(tiny_ds)
 
 
-# -- frozen lower stages: rasters made once, replayed into the readout ----------------
+# -- frozen lower stage: rasters made once, replayed into the readout ----------------
 
 
 def firing_net(seed):
@@ -412,10 +412,10 @@ def bright_ds(seed, n=7):
                    n_classes=2)
 
 
-def test_stage_table():
+def test_declared_stages():
     net = build_tiny()
     assert [[layer.name for layer in stage] for stage in net.stages] == [
-        ["input"], ["feature", "inhib"], ["readout"]]
+        ["input", "feature", "inhib"], ["readout"]]
 
 
 def test_readout_feeding_an_earlier_stage_is_refused():
@@ -423,7 +423,7 @@ def test_readout_feeding_an_earlier_stage_is_refused():
     table = {**topology.PROJECTIONS,
              "readout_feat": ("readout", "feature", "excitatory", "all_to_all")}
     with pytest.raises(ValueError, match="readout_feat"):
-        topology.stage_table([layer.name for layer in build_tiny().layers], table)
+        topology.check_stages(topology.STAGES, table)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -598,7 +598,7 @@ def test_a_wrong_signed_weight_is_refused_before_the_readout_steps(monkeypatch, 
     calls = count_steps(monkeypatch)
     with pytest.raises(ValueError, match="feat_readout: excitatory delivery with negative weight"):
         evaluate(net, bright_ds(3), sim, enc)
-    # the lower stages ran, the readout stage did not take a step
+    # the lower stage ran, the readout stage did not take a step
     lower = net.stages[-1][0].start
     assert calls and all(shape[-1] == lower for shape in calls)
 
@@ -610,7 +610,7 @@ def test_each_frozen_call_logs_its_rasters(caplog, sim, enc):
         monte_carlo_weight_search(net, (100.0, 400.0), 3, ds, sim, enc, seed=1)
     lines = [r.getMessage() for r in caplog.records if "rasters built" in r.getMessage()]
     # one line per trial's phase 2 and evaluation, then the search's total:
-    # the lower stages ran once per image for all 6 calls
+    # the lower stage ran once per image for all 6 calls
     assert len(lines) == 7
     assert lines[0].startswith("phase 2: 7 lower-stage rasters built, 7 presentations")
     assert lines[1].startswith("evaluation: 0 lower-stage rasters built, 7 presentations")
