@@ -311,8 +311,7 @@ def checkpoint_from_network(net: NetworkTopology, phase: int,
                             presentations: int) -> Checkpoint:
     return Checkpoint(
         fingerprint=net.fingerprint(), phase=phase, presentations=presentations,
-        weights={name: net.projections[name].weight.copy()
-                 for name in PROJECTION_ORDER})
+        weights={name: net.projections[name].weight for name in PROJECTION_ORDER})
 
 
 def apply_checkpoint(net: NetworkTopology, ckpt: Checkpoint,

@@ -24,11 +24,12 @@ the band [W_min, W_max]), and the projection's sign alone picks the
 direction. Excitatory weights live in [W_min, W_max], inhibitory in
 [-W_max, -W_min], and "potentiation" always grows |w|.
 
-Every projection stores its weights as one dense (n_pre, n_post) matrix, so
-a pre event updates a row, a post event a column, and the supervised rule
-adds one matrix product; non-connections are held at exactly 0. A loop
-prepares one StdpEvents per learning projection; stdp_on_pre and
-stdp_on_post check their arguments and then run the same arithmetic.
+Every projection is its weights as one dense (n_pre, n_post) matrix and its
+connections as one boolean mask of the same shape, so a pre event updates a
+row, a post event a column, and the supervised rule adds one matrix product;
+non-connections are held at exactly 0. A loop prepares one StdpEvents per
+learning projection; stdp_on_pre and stdp_on_post check their arguments and
+then run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -94,49 +95,45 @@ def excitatory_stdp() -> StdpParams:
 
 
 class SynapsePopulation:
-    """One projection: a dense weight matrix plus plasticity state.
+    """One projection: a dense weight matrix, its connection mask and
+    plasticity state.
 
-    `W` is the (n_pre, n_post) matrix of signed weights (pA), exactly 0 where
-    the projection has no connection. pre_index / post_index list the
-    connections (population-local ids, each pair at most once) and fix their
-    order; `weight` reads the per-connection weights in that order as a
-    read-only array, and assigning `pop.weight = values` (an array in that
-    order, or one scalar for all) validates and writes them into `W`. This
-    per-connection order is the checkpoint layout.
+    `connected` is the boolean (n_pre, n_post) mask of the projection's
+    connections (population-local ids); the projection keeps its own
+    read-only copy, which its copies share. `W` is the matrix of signed
+    weights (pA), exactly 0 where the projection has no connection. The
+    connections are ordered pre-major, the C order of the mask; `weight`
+    reads the per-connection weights in that order as a read-only array, and
+    assigning `pop.weight = values` (an array in that order, or one scalar
+    for all) validates and writes them into `W`. This per-connection order
+    is the checkpoint layout. No per-connection array is stored: pre_index
+    and post_index are worked out from the mask when read.
 
     `plasticity` is None for a static projection, StdpParams or ResumeParams
     otherwise.
     """
 
-    def __init__(self, name: str, pre_index, post_index, weight, sign: str,
-                 n_pre: int, n_post: int,
+    def __init__(self, name: str, connected, weight, sign: str,
                  plasticity: StdpParams | ResumeParams | None = None) -> None:
         if sign not in SIGNS:
             raise ValueError(f"unknown synapse sign {sign!r}")
+        connected = np.array(connected)     # the projection's own copy
+        if connected.dtype != bool or connected.ndim != 2:
+            raise ValueError(f"{name}: connected must be a 2-D boolean mask, "
+                             f"got {connected.dtype} of shape {connected.shape}")
+        connected.flags.writeable = False   # shared by copies
         self.name = name
         self.sign = sign
-        self.n_pre = int(n_pre)
-        self.n_post = int(n_post)
         self.plasticity = plasticity
-        self.pre_index = np.array(pre_index, dtype=np.int64)
-        self.post_index = np.array(post_index, dtype=np.int64)
-        for index in (self.pre_index, self.post_index):  # shared by copies
-            index.flags.writeable = False
-        if not (self.pre_index.ndim == 1
-                and self.pre_index.shape == self.post_index.shape == np.shape(weight)):
-            raise ValueError("connection arrays must have identical 1-D shapes")
-        if self.pre_index.size:
-            if self.pre_index.min() < 0 or self.pre_index.max() >= self.n_pre:
-                raise ValueError("pre_index out of range")
-            if self.post_index.min() < 0 or self.post_index.max() >= self.n_post:
-                raise ValueError("post_index out of range")
-        connected = np.zeros((self.n_pre, self.n_post), dtype=bool)
-        connected[self.pre_index, self.post_index] = True
-        if np.count_nonzero(connected) != self.pre_index.size:
-            raise ValueError(f"{name}: duplicate connection")
+        self.connected = connected
+        self.n_pre, self.n_post = connected.shape
+        self.n_connections = int(np.count_nonzero(connected))
         # non-connections, re-zeroed after every update; None when all-to-all
-        self._off = None if connected.all() else ~connected
-        self.W = np.zeros((self.n_pre, self.n_post), dtype=np.float64)
+        self._off = None
+        if self.n_connections < connected.size:
+            self._off = ~connected
+            self._off.flags.writeable = False
+        self.W = np.zeros(connected.shape, dtype=np.float64)
         self.weight = weight
 
     def __repr__(self) -> str:
@@ -149,25 +146,21 @@ class SynapsePopulation:
     @property
     def weight(self) -> np.ndarray:
         """Per-connection weights in connection order (a read-only copy)."""
-        w = self.W[self.pre_index, self.post_index]
+        w = self.W[self.connected]
         w.flags.writeable = False
         return w
 
     @weight.setter
     def weight(self, values) -> None:
         w = np.asarray(values, dtype=np.float64)
-        if w.ndim and w.shape != self.pre_index.shape:
-            raise ValueError(f"{self.name}: expected {self.pre_index.size} weights, "
+        if w.ndim and w.shape != (self.n_connections,):
+            raise ValueError(f"{self.name}: expected {self.n_connections} weights, "
                              f"got shape {w.shape}")
         try:
             _check_delivery(w, self.sign)
         except ValueError as err:
             raise ValueError(f"{self.name}: {err}") from None
-        self.W[self.pre_index, self.post_index] = w
-
-    @property
-    def n_connections(self) -> int:
-        return int(self.pre_index.size)
+        self.W[self.connected] = w
 
     @property
     def mode(self) -> str:
@@ -195,17 +188,27 @@ class SynapsePopulation:
 
     # -- per-connection views (not used by the engine) ---------------------
 
+    @property
+    def pre_index(self) -> np.ndarray:
+        """The pre neuron of each connection, in connection order."""
+        return np.repeat(np.arange(self.n_pre), np.count_nonzero(self.connected, axis=1))
+
+    @property
+    def post_index(self) -> np.ndarray:
+        """The post neuron of each connection, in connection order."""
+        return np.flatnonzero(self.connected) % self.n_post
+
     def connections_by_pre(self, pre_ids: np.ndarray) -> np.ndarray:
-        """Indices into the connection arrays for the given pre neurons,
+        """Positions in connection order of the given pre neurons' connections,
         grouped by id in the order given, connection order within a group."""
         return _grouped(self.pre_index, self.n_pre, pre_ids)
 
     def connections_by_post(self, post_ids: np.ndarray) -> np.ndarray:
-        """Indices into the connection arrays for the given post neurons."""
+        """Positions in connection order of the given post neurons' connections."""
         return _grouped(self.post_index, self.n_post, post_ids)
 
     def copy(self) -> "SynapsePopulation":
-        """An independent projection: its own W, shared connection arrays."""
+        """An independent projection: its own W, the shared read-only mask."""
         new = copy.copy(self)
         new.W = self.W.copy()
         return new

@@ -20,6 +20,8 @@ Five projections, in their fixed serialization order:
 
 Each is wired by a boolean (pre, post) mask from one rule table, `_MASKS`:
 its connections are the True cells, pre-major, which is the checkpoint order.
+The projection keeps that mask beside its weight matrix and stores nothing
+per connection.
 
 The layers are declared once, in neuron-index order and grouped into the two
 simulation stages, in `STAGES`: input, feature and inhib, then readout.
@@ -186,18 +188,16 @@ def connect(rule: str, n_pre: int, n_post: int) -> tuple[np.ndarray, np.ndarray]
         raise ValueError("populations must be non-empty")
     if rule not in _CONNECT_RULES:
         raise ValueError(f"unknown wiring rule {rule!r}")
-    return _wire(rule, n_pre, n_post)
+    return np.nonzero(_wire(rule, n_pre, n_post))
 
 
 def _wire(rule: str, n_pre: int, n_post: int,
-          cfg: NetworkConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(pre_index, post_index) of a `_MASKS` rule: the True cells of its
-    mask, pre-major."""
+          cfg: NetworkConfig | None = None) -> np.ndarray:
+    """The boolean (n_pre, n_post) connection mask of a `_MASKS` rule."""
     if rule in ("one_to_one", "one_to_all_except_partner") and n_pre != n_post:
         raise ValueError(f"{rule} needs equal sizes, got {n_pre} != {n_post}")
     mask = _MASKS[rule](np.arange(n_pre)[:, None], np.arange(n_post), cfg)
-    # split flat ids: np.nonzero's strided views cost SynapsePopulation a copy
-    return np.divmod(np.flatnonzero(np.broadcast_to(mask, (n_pre, n_post))), n_post)
+    return np.broadcast_to(mask, (n_pre, n_post))
 
 
 def _jittered(rng: np.random.Generator, mean: float, jitter: float, size: int) -> np.ndarray:
@@ -273,15 +273,14 @@ def build_network(cfg: NetworkConfig, params: NeuronParams | None = None) -> Net
     projections: dict[str, SynapsePopulation] = {}
     for name, (pre_layer, post_layer, sign, rule) in PROJECTIONS.items():
         n_pre, n_post = layers[pre_layer].size, layers[post_layer].size
-        pre, post = _wire(rule, n_pre, n_post, cfg)
+        connected = _wire(rule, n_pre, n_post, cfg)
+        n = np.count_nonzero(connected)
         mean = getattr(cfg, f"w_{name}")
         # jittered into the lower stage, constant into the last (the
         # readout, whose feature weight the search sets)
-        weight = (np.full(pre.size, mean) if post_layer in STAGES[-1]
-                  else _jittered(rng, mean, cfg.weight_jitter, pre.size))
-        projections[name] = SynapsePopulation(
-            name=name, pre_index=pre, post_index=post, weight=weight,
-            sign=sign, n_pre=n_pre, n_post=n_post)
+        weight = (np.full(n, mean) if post_layer in STAGES[-1]
+                  else _jittered(rng, mean, cfg.weight_jitter, n))
+        projections[name] = SynapsePopulation(name, connected, weight, sign)
 
     class_of = np.arange(cfg.n_readout, dtype=np.int64) // cfg.neurons_per_class
     return NetworkTopology(

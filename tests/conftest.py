@@ -2,10 +2,11 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from spikesim import (EncodingConfig, NetworkConfig, NeuronParams,
-                      SimulationConfig, build_network)
+                      SimulationConfig, SynapsePopulation, build_network)
 
 # Calibration constant for the default neuron (100 ms window, 10 spikes,
 # dt=0.1 ms), frozen from the reference calibration run.
@@ -34,6 +35,19 @@ def fail_writes(monkeypatch):
     its data and then fail, as on a full disk."""
     real_fdopen = os.fdopen
     monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: _FailingFile(real_fdopen(fd, *a, **k)))
+
+
+def population(name, pre_index, post_index, weight, sign, n_pre, n_post,
+               plasticity=None):
+    """A SynapsePopulation wired by connection pairs, which must be distinct
+    and pre-major: they become the connection mask, whose C order is the
+    order of `weight`."""
+    pre, post = np.asarray(pre_index), np.asarray(post_index)
+    connected = np.zeros((n_pre, n_post), dtype=bool)
+    connected[pre, post] = True
+    assert np.array_equal(np.flatnonzero(connected), pre * n_post + post), \
+        "connection pairs must be distinct and pre-major"
+    return SynapsePopulation(name, connected, weight, sign, plasticity)
 
 
 @pytest.fixture

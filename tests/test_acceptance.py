@@ -23,7 +23,7 @@ import pytest
 
 from spikesim import (Dataset, EncodingConfig, NetworkConfig, NeuronParams,
                       ResumeParams, SimulationConfig, SpikeRecord, StdpParams,
-                      SynapsePopulation, build_network, evaluate,
+                      build_network, evaluate,
                       load_checkpoint, new_state, present_image, run_phase1,
                       run_phase2, save_checkpoint, step_neuron)
 from spikesim.dataio import (apply_checkpoint, checkpoint_from_network,
@@ -33,6 +33,8 @@ from spikesim.plasticity import (TAU_TRACE, decay_traces, resume_update,
                                  stdp_on_pre, stdp_on_post)
 from spikesim.training import (frozen_eval_net, monte_carlo_weight_search,
                                set_phase1_modes)
+
+from conftest import population
 
 I_K_DEFAULT = 797.4  # calibrated drive: 10 spikes in 100 ms at dt=0.1
 DT = 0.1
@@ -77,10 +79,10 @@ def test_c3_stdp_matches_all_pairs_double_sum():
         sign = "excitatory" if case % 2 else "inhibitory"
         w0 = 600.0 if sign == "excitatory" else -600.0
         plast = StdpParams()
-        pop = SynapsePopulation(name="p", pre_index=np.array([0]),
-                                post_index=np.array([0]),
-                                weight=np.array([w0]), sign=sign,
-                                n_pre=1, n_post=1, plasticity=plast)
+        pop = population(name="p", pre_index=np.array([0]),
+                         post_index=np.array([0]),
+                         weight=np.array([w0]), sign=sign,
+                         n_pre=1, n_post=1, plasticity=plast)
         pre_set = set(np.unique(rng.integers(0, n_steps, size=rng.integers(0, 101))).tolist())
         post_set = set(np.unique(rng.integers(0, n_steps, size=rng.integers(0, 101))).tolist())
         trace = np.zeros(2)  # the pre and the post neuron's trace
@@ -110,10 +112,10 @@ def test_c3_stdp_matches_all_pairs_double_sum():
 
     # weights saturate exactly at the clip bounds under a hot schedule
     hot = StdpParams(A_plus=0.9, A_minus=0.0, W_max=1200.0)
-    pop = SynapsePopulation(name="p", pre_index=np.array([0]),
-                            post_index=np.array([0]),
-                            weight=np.array([1100.0]), sign="excitatory",
-                            n_pre=1, n_post=1, plasticity=hot)
+    pop = population(name="p", pre_index=np.array([0]),
+                     post_index=np.array([0]),
+                     weight=np.array([1100.0]), sign="excitatory",
+                     n_pre=1, n_post=1, plasticity=hot)
     trace = np.zeros(2)
     for k in range(10):
         decay_traces(trace, DT)
@@ -171,10 +173,10 @@ def test_c4_resume_properties():
     def pair_pop(sign):
         plast = ResumeParams()
         w0 = 241.0 if sign == "excitatory" else -120.0
-        return SynapsePopulation(name="p", pre_index=np.array([0]),
-                                 post_index=np.array([0]),
-                                 weight=np.array([w0]), sign=sign,
-                                 n_pre=1, n_post=1, plasticity=plast), w0
+        return population(name="p", pre_index=np.array([0]),
+                          post_index=np.array([0]),
+                          weight=np.array([w0]), sign=sign,
+                          n_pre=1, n_post=1, plasticity=plast), w0
 
     # identical teacher and actual trains cancel exactly
     for _ in range(50):

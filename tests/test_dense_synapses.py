@@ -17,6 +17,8 @@ from spikesim.plasticity import (ResumeParams, StdpParams, resume_update,
                                  stdp_on_post, stdp_on_pre)
 from spikesim.topology import NetworkConfig, _wire, connect
 
+from conftest import population
+
 
 # -- per-connection references ------------------------------------------------
 
@@ -111,7 +113,7 @@ def wiring(rule, rng):
         n_classes, per_class = int(rng.integers(2, 5)), int(rng.integers(1, 5))
         n = n_classes * per_class
         cfg = NetworkConfig(n_classes=n_classes, neurons_per_class=per_class)
-        return (*_wire("cross_class", n, n, cfg), n, n)
+        return (*np.nonzero(_wire("cross_class", n, n, cfg)), n, n)
     assert rule == "partitioned"
     n_post, part = int(rng.integers(1, 10)), int(rng.integers(1, 5))
     pre = np.arange(n_post * part)
@@ -126,7 +128,7 @@ def random_population(rng, rule, sign, plasticity):
     pre, post, n_pre, n_post = wiring(rule, rng)
     lo, hi = plasticity.W_min, plasticity.W_max
     mag = rng.uniform(lo, hi, size=pre.size)
-    return SynapsePopulation(
+    return population(
         name=rule, pre_index=pre, post_index=post,
         weight=mag if sign == "excitatory" else -mag, sign=sign,
         n_pre=int(n_pre), n_post=int(n_post), plasticity=plasticity)
@@ -164,8 +166,8 @@ def test_delivery_onto_a_single_post_neuron_keeps_the_order():
     rng = np.random.default_rng(4)
     pre, post = connect("all_to_all", 300, 1)
     w = rng.uniform(0.0, 1200.0, size=300) * 10.0 ** rng.uniform(-6, 0, size=300)
-    pop = SynapsePopulation(name="lone", pre_index=pre, post_index=post, weight=w,
-                            sign="excitatory", n_pre=300, n_post=1)
+    pop = population(name="lone", pre_index=pre, post_index=post, weight=w,
+                     sign="excitatory", n_pre=300, n_post=1)
     for k in (1, 2, 8, 9, 64, 300):
         ids = np.sort(rng.choice(300, size=k, replace=False))
         assert np.array_equal(pop.summed_input(ids), ref_delivery(pop, w, ids))
@@ -289,9 +291,9 @@ def test_resume_identical_trains_leave_weights_exactly(rule):
 
 def test_weight_reads_are_read_only_and_assignment_writes_through():
     pre, post = connect("one_to_all_except_partner", 4, 4)
-    pop = SynapsePopulation(name="p", pre_index=pre, post_index=post,
-                            weight=np.full(pre.size, -50.0), sign="inhibitory",
-                            n_pre=4, n_post=4)
+    pop = population(name="p", pre_index=pre, post_index=post,
+                     weight=np.full(pre.size, -50.0), sign="inhibitory",
+                     n_pre=4, n_post=4)
     with pytest.raises(ValueError):
         pop.weight[0] = -1.0
     with pytest.raises(ValueError):
@@ -309,11 +311,18 @@ def test_weight_reads_are_read_only_and_assignment_writes_through():
     assert np.all(pop.weight == -7.0)
 
 
-def test_duplicate_connection_rejected():
-    with pytest.raises(ValueError):
-        SynapsePopulation(name="dup", pre_index=np.array([0, 0]),
-                          post_index=np.array([1, 1]), weight=np.ones(2),
-                          sign="excitatory", n_pre=1, n_post=2)
+def test_constructor_refuses_a_mask_that_is_not_2d_boolean():
+    for bad in (np.ones((2, 2)), [[1, 0], [0, 1]], np.ones(4, dtype=bool),
+                np.ones((1, 2, 2), dtype=bool), True):
+        with pytest.raises(ValueError, match="lone: connected must be a 2-D boolean"):
+            SynapsePopulation("lone", bad, 1.0, "excitatory")
+
+
+def test_constructor_refuses_weights_of_another_length():
+    connected = np.eye(3, dtype=bool)
+    for bad in (np.ones(2), np.ones(4), np.ones(9), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="lone: expected 3 weights"):
+            SynapsePopulation("lone", connected, bad, "excitatory")
 
 
 def test_connection_lookups_match_list_reference():

@@ -4,17 +4,19 @@ double sum, ReSuMe closed forms, clipping, and freezing."""
 import numpy as np
 import pytest
 
-from spikesim import SpikeRecord, SynapsePopulation
+from spikesim import SpikeRecord
 from spikesim.plasticity import (TAU_TRACE, StdpParams, ResumeParams,
                                  decay_traces, freeze, resume_update,
                                  resume_window, stdp_on_pre, stdp_on_post)
 from spikesim.topology import connect
 
+from conftest import population
+
 DT = 0.1
 
 
 def make_pair(sign, w0, plasticity):
-    return SynapsePopulation(
+    return population(
         name="p", pre_index=np.array([0]), post_index=np.array([0]),
         weight=np.array([float(w0)]), sign=sign, n_pre=1, n_post=1,
         plasticity=plasticity)
@@ -208,7 +210,7 @@ def test_resume_sign_contract_random_sweep():
         sign = "excitatory" if rng.random() < 0.5 else "inhibitory"
         w0 = 241.0 if sign == "excitatory" else -120.0
         plast = ResumeParams()
-        pop = SynapsePopulation(
+        pop = population(
             name="p", pre_index=np.arange(n_pre),
             post_index=np.zeros(n_pre, dtype=np.int64),
             weight=np.full(n_pre, w0), sign=sign, n_pre=int(n_pre), n_post=1,
@@ -253,13 +255,13 @@ def test_freeze_preserves_weights_and_is_idempotent():
 
 def test_population_sign_validation():
     with pytest.raises(ValueError):
-        SynapsePopulation(name="bad", pre_index=np.array([0]),
-                          post_index=np.array([0]), weight=np.array([-1.0]),
-                          sign="excitatory", n_pre=1, n_post=1)
+        population(name="bad", pre_index=np.array([0]),
+                   post_index=np.array([0]), weight=np.array([-1.0]),
+                   sign="excitatory", n_pre=1, n_post=1)
     with pytest.raises(ValueError):
-        SynapsePopulation(name="bad", pre_index=np.array([0]),
-                          post_index=np.array([0]), weight=np.array([1.0]),
-                          sign="inhibitory", n_pre=1, n_post=1)
+        population(name="bad", pre_index=np.array([0]),
+                   post_index=np.array([0]), weight=np.array([1.0]),
+                   sign="inhibitory", n_pre=1, n_post=1)
 
 
 def test_stdp_ids_out_of_range_rejected():
@@ -273,9 +275,9 @@ def test_stdp_ids_out_of_range_rejected():
 def test_stdp_trace_of_wrong_length_rejected():
     # a pre event reads one trace per post neuron, a post event one per pre
     pre, post = connect("all_to_all", 2, 3)
-    pop = SynapsePopulation(name="p", pre_index=pre, post_index=post,
-                            weight=np.full(6, 600.0), sign="excitatory",
-                            n_pre=2, n_post=3, plasticity=StdpParams())
+    pop = population(name="p", pre_index=pre, post_index=post,
+                     weight=np.full(6, 600.0), sign="excitatory",
+                     n_pre=2, n_post=3, plasticity=StdpParams())
     for bad in (np.ones(2), np.ones(4), np.ones((1, 3)), np.ones(())):
         with pytest.raises(ValueError, match="trace"):
             stdp_on_pre(pop, 0, bad)
@@ -289,9 +291,9 @@ def test_stdp_trace_of_wrong_length_rejected():
 
 def two_by_three():
     pre, post = connect("all_to_all", 2, 3)
-    return SynapsePopulation(name="p", pre_index=pre, post_index=post,
-                             weight=np.full(6, 600.0), sign="excitatory",
-                             n_pre=2, n_post=3, plasticity=StdpParams())
+    return population(name="p", pre_index=pre, post_index=post,
+                      weight=np.full(6, 600.0), sign="excitatory",
+                      n_pre=2, n_post=3, plasticity=StdpParams())
 
 
 def test_stdp_repeated_ids_rejected():

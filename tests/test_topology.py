@@ -1,6 +1,7 @@
 """Network construction: layer sizes, projection counts, wiring rules,
 weight initialization bands, and the structural fingerprint."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -258,15 +259,35 @@ def test_copy_owns_its_weights_and_shares_read_only_connections():
     twin = net.copy()
     for name, pop in net.projections.items():
         other = twin.projections[name]
-        assert other.pre_index is pop.pre_index and other.post_index is pop.post_index
-        assert not (pop.pre_index.flags.writeable or pop.post_index.flags.writeable)
+        assert other.connected is pop.connected
+        assert not pop.connected.flags.writeable
         assert other.W is not pop.W
     before = net.projections["input_feat"].weight
     twin.projections["input_feat"].weight = 1.0
     assert np.array_equal(net.projections["input_feat"].weight, before)
-    # the projection keeps its own copy of the caller's connection arrays
-    pre, post = connect("all_to_all", 2, 2)
-    pop = SynapsePopulation(name="p", pre_index=pre, post_index=post,
-                            weight=np.ones(4), sign="excitatory", n_pre=2, n_post=2)
-    pre[0] = 1
-    assert pop.pre_index[0] == 0
+    # the projection keeps its own copy of the caller's mask
+    connected = np.eye(2, dtype=bool)
+    pop = SynapsePopulation("p", connected, np.ones(2), "excitatory")
+    connected[0, 1] = True
+    assert pop.n_connections == 2 and not pop.connected[0, 1]
+
+
+def test_a_network_stores_its_weight_matrices_and_masks_and_nothing_per_connection():
+    # at 32x32 a per-connection int64 array of input_feat alone is 2 MiB
+    build_network(NetworkConfig(rows=4, cols=4))    # lazy imports, untraced
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        net = build_network(NetworkConfig())
+        built = tracemalloc.get_traced_memory()[0]
+        twin = net.copy()
+        copied = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pops = net.projections.values()
+    w_bytes = sum(p.W.nbytes for p in pops)
+    mask_bytes = sum(p.connected.nbytes + (p._off.nbytes if p._off is not None else 0)
+                     for p in pops)
+    assert built - start <= w_bytes + mask_bytes + 64 * 1024
+    assert copied - built <= w_bytes + 64 * 1024
+    assert twin.projections["input_feat"].W is not net.projections["input_feat"].W

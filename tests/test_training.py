@@ -4,6 +4,8 @@ search, and the frozen lower stage replayed from its rasters."""
 
 from dataclasses import replace
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from spikesim import (Dataset, EncodingConfig, ImageSample, NetworkConfig,
                       new_state, present_image, run_phase1, run_phase2,
                       step_neuron)
 from spikesim import training
+from spikesim.cli import main
 from spikesim.dataio import apply_checkpoint, make_synthetic
 from spikesim.neuron import StepKernel
 from spikesim.plasticity import decay_traces, stdp_on_post, stdp_on_pre
@@ -159,6 +162,29 @@ def test_phase2_freezes_lower_projections(sim, enc, tiny_ds):
         assert np.array_equal(after[k], w), f"{k} must stay frozen in phase 2"
     assert not np.array_equal(after["feat_readout"],
                               np.full_like(after["feat_readout"], 241.0))
+
+
+def test_a_projection_without_connections_trains_saves_and_evaluates(tmp_path, sim, enc,
+                                                                      capsys):
+    # with one class readout_lateral, which pairs readout neurons of
+    # different classes, has no connection
+    ds = make_synthetic(1, 4, 4, samples_per_class=2, noise=0.03, seed=11)
+    net = build_network(NetworkConfig(rows=4, cols=4, n_classes=1,
+                                      neurons_per_class=2, seed=5))
+    assert net.config.train_readout_lateral
+    assert net.projections["readout_lateral"].n_connections == 0
+    run_phase1(net, ds, sim, enc)
+    run_phase2(net, ds, sim, enc, out_dir=tmp_path)
+    lateral = net.projections["readout_lateral"]
+    assert lateral.mode == "resume" and lateral.weight.size == 0 and not lateral.W.any()
+    final = tmp_path / "ckpt_phase2_final.bin"
+    restored = build_network(replace(net.config, seed=9))
+    apply_checkpoint(restored, load_checkpoint(final))
+    assert same_weights(weights_of(restored), weights_of(net))
+    assert evaluate(restored, ds, sim, enc).overall == 1.0
+    capsys.readouterr()
+    assert main(["inspect", "--checkpoint", str(final)]) == 0
+    assert re.search(r"^readout_lateral\s*: empty$", capsys.readouterr().out, re.M)
 
 
 def test_phase_modes():
