@@ -7,9 +7,12 @@ where I_K is calibrated once per neuron parameter set: the smallest current
 (10 spikes / 100 ms) a full-intensity pixel saturates the input rate and
 p = 0 stays silent.
 
-Calibration steps its candidate currents as the rows of one population
+Calibration steps its candidate currents as the neurons of one population
 through one StepKernel. Every operation of the step is elementwise, so each
-row counts exactly the spikes a lone neuron at that current would.
+neuron counts exactly the spikes a lone neuron at that current would. The
+population receives no synapses, so its kernel leaves out the alpha
+channels, which stay exactly zero. A neuron that fires at 0 pA (omega at or
+below E_L) is refused, since p = 0 would then not stay silent.
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ from .errors import NumericError
 from .neuron import NeuronParams, StepKernel, _window_steps, new_state
 
 GRID = 0.1  # calibration resolution (pA)
-SEARCH_ROWS = 128  # grid points stepped together in each round of the search
+SEARCH_ROWS = 128  # grid points stepped together in each later round
+# grid points the first round spaces evenly up to 8x the rheobase, where the
+# target is usually reached: a step costs about the same for 66 rows as for
+# 256, and this spacing lets one later round finish the search
+FIRST_ROWS = 256
 DOUBLINGS = 64  # doublings of the rheobase tried before a target is unreachable
 
 
@@ -77,12 +84,9 @@ def _spike_counts(params: NeuronParams, currents, window: float, dt: float) -> n
     driven by its own DC current, over `window` ms."""
     n_steps = _window_steps(window, dt)
     I = np.asarray(currents, dtype=np.float64)
-    step = StepKernel(new_state(I.size, params), params, I, dt)
-    counts = np.zeros(I.size, dtype=np.int64)
-    for _ in range(n_steps):
-        step()
-        counts += step.spiked
-    return counts
+    step = StepKernel(new_state(I.size, params), params, I, dt, synapses=False)
+    ids = [step() for _ in range(n_steps)]
+    return np.bincount(np.concatenate(ids), minlength=I.size)
 
 
 def calibrate_ik(params: NeuronParams, window: float = 100.0, target: int = 10,
@@ -90,13 +94,15 @@ def calibrate_ik(params: NeuronParams, window: float = 100.0, target: int = 10,
     """Smallest I_K on the 0.1 pA grid giving exactly `target` spikes in `window`.
 
     Relies on the spike count rising monotonically with the current. One
-    population run steps the rheobase and its doublings and brackets the
-    smallest grid point whose count reaches `target`; each later run steps up to
-    SEARCH_ROWS evenly spaced grid points inside the bracket and narrows it
-    to the gap around the first one that reaches the target, until one grid
-    point is left. The count there must be exactly `target`. Raises
-    NumericError when the target is unreachable, reporting the achievable
-    count, and ValueError when `window` is not a positive multiple of `dt`.
+    population run steps 0 pA, FIRST_ROWS grid points evenly spaced from the
+    rheobase up to 8x it, and the further doublings of the rheobase, and
+    brackets the smallest grid point whose count reaches `target`; each later
+    run steps up to SEARCH_ROWS evenly spaced grid points inside the bracket
+    and narrows it to the gap around the first one that reaches the target,
+    until one grid point is left. The count there must be exactly `target`.
+    Raises NumericError when the neuron fires at 0 pA, naming the count, and
+    when the target is unreachable, reporting the achievable count;
+    ValueError when `window` is not a positive multiple of `dt`.
     """
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
@@ -114,16 +120,23 @@ def calibrate_ik(params: NeuronParams, window: float = 100.0, target: int = 10,
         reached = counts >= target
         return (int(reached.argmax()) if reached.any() else len(grid)), counts
 
-    # bracket: the rheobase's grid point and its doublings, in one run; the
-    # last doubling only reports the saturated count
-    doublings = [max(1, int(round(params.rheobase / GRID))) << j for j in range(DOUBLINGS + 1)]
-    i, counts = first_reaching(doublings)
-    if i >= DOUBLINGS:
+    # bracket, in one run: 0 pA, the first rows from the rheobase's grid point
+    # up to its third doubling, and the doublings beyond; the last doubling
+    # only reports the saturated count
+    base = max(1, int(round(params.rheobase / GRID)))
+    grid = [0, *(base + 7 * base * k // FIRST_ROWS for k in range(FIRST_ROWS)),
+            *(base << j for j in range(3, DOUBLINGS + 1))]
+    i, counts = first_reaching(grid)
+    if counts[0]:
+        raise NumericError(
+            f"spike count at 0 pA is {counts[0]}, not 0, in {window:g} ms "
+            f"(omega={params.omega} mV, E_L={params.E_L} mV): a zero pixel "
+            "would not stay silent")
+    if i >= len(grid) - 1:
         raise NumericError(
             f"spike count saturates at {counts[-1]} < target {target}; "
             "target unreachable for these parameters")
-    lo = doublings[i - 1] if i else 0  # zero current is silent
-    hi, got = doublings[i], counts[i]
+    lo, hi, got = grid[i - 1], grid[i], counts[i]
 
     # minimal n with count(n) >= target: count(lo) < target <= count(hi)
     while hi - lo > 1:

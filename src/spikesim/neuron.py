@@ -23,8 +23,10 @@ and a single neuron is simply a population of size one. Every operation is
 elementwise, so a state of shape (images, neurons) steps a batch of images
 at once, each row exactly as it would step alone. A simulation loop prepares
 one StepKernel and calls it once per step; step_neuron is a single call of
-one. Likewise a loop checks its weights once and delivers through the same
-unchecked arithmetic that deliver_spike runs after its per-call checks.
+one. A population that receives no synapses, as in calibration, steps with a
+kernel that leaves out the alpha channels, which stay exactly zero. Likewise
+a loop checks its weights once and delivers through the same unchecked
+arithmetic that deliver_spike runs after its per-call checks.
 """
 
 from __future__ import annotations
@@ -279,9 +281,19 @@ class StepKernel:
     refractory reload apply after the test, so a spike never suppresses itself.
     The membrane is not reset on spike. The current and the state are
     checked for finiteness once, here.
+
+    With `synapses=False` the kernel serves a population that receives no
+    spikes (calibration's): the step leaves out the alpha channels and their
+    terms in the membrane, 16 of the 29 numpy calls of a silent step. Each
+    channel is its own linear subsystem, so at zero it stays zero and adds a
+    zero to V_m, and the step gives the same ids and the same state bits (a
+    V_m of exactly -0.0 may keep a sign that the full step would clear). The
+    constructor refuses a state whose channels are not all zero, since this
+    kernel would never integrate them.
     """
 
-    def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float) -> None:
+    def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float,
+                 synapses: bool = True) -> None:
         P = propagators(params, dt)
         I = np.asarray(I_ext, dtype=np.float64)
         if not np.all(np.isfinite(I)):
@@ -289,16 +301,22 @@ class StepKernel:
         for name in ("V_m", "h1", "h2", "y1_ex", "y2_ex", "y1_in", "y2_in"):
             if not np.all(np.isfinite(getattr(state, name))):
                 raise ValueError(f"non-finite neuron state in {name}")
-        self.state = state
+        if not synapses:
+            for name in ("y1_ex", "y2_ex", "y1_in", "y2_in"):
+                if np.any(getattr(state, name)):
+                    raise ValueError(f"{name} is not all zero, and a kernel without "
+                                     "synapses never integrates it")
+        self.state, self.synapses = state, synapses
         self._drive = params.E_L + P.drive * I
         # as 0-d float64 arrays: numpy converts a Python float operand on
         # every call, which costs more than the arithmetic on a few hundred
         # neurons; the results are the same float64 operations
-        self._consts = tuple(np.array(c, dtype=np.float64) for c in (
-            params.E_L, P.P33, P.P31_ex, P.P32_ex, P.P31_in, P.P32_in,
-            P.P11_ex, P.P21_ex, P.P11_in, P.P21_in, P.decay_h1, P.decay_h2,
-            dt, 0.0, params.omega, REFRACTORY_EPS, params.alpha1, params.alpha2,
-            params.t_ref))
+        const = lambda *cs: tuple(np.array(c, dtype=np.float64) for c in cs)
+        self._consts = const(params.E_L, P.P33, P.decay_h1, P.decay_h2, dt, 0.0,
+                             params.omega, REFRACTORY_EPS, params.alpha1, params.alpha2,
+                             params.t_ref)
+        self._channel_consts = const(P.P31_ex, P.P32_ex, P.P31_in, P.P32_in,
+                                     P.P11_ex, P.P21_ex, P.P11_in, P.P21_in)
         shape = state.V_m.shape
         self._sum, self._term = np.empty(shape), np.empty(shape)
         self.spiked, self._ready = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
@@ -309,36 +327,38 @@ class StepKernel:
             raise ValueError("neuron state arrays must have a flat view (e.g. C-contiguous)")
 
     def __call__(self) -> np.ndarray:
-        (E_L, P33, P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i, decay_h1, decay_h2,
-         dt, zero, omega, eps, alpha1, alpha2, t_ref) = self._consts
-        s, acc, term = self.state, self._sum, self._term
+        E_L, P33, decay_h1, decay_h2, dt, zero, omega, eps, alpha1, alpha2, t_ref = self._consts
+        s, acc = self.state, self._sum
         V, h1, h2, r = s.V_m, s.h1, s.h2, s.refractory_remaining
-        y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
 
         # membrane first: uses the channel values at the step start; the
         # channel terms sum left to right, ((ex1 + ex2) + in1) + in2
         V -= E_L
         V *= P33
         V += self._drive
-        np.multiply(y1e, P31e, out=acc)
-        np.multiply(y2e, P32e, out=term)
-        acc += term
-        np.multiply(y1i, P31i, out=term)
-        acc += term
-        np.multiply(y2i, P32i, out=term)
-        acc += term
-        V += acc
+        if self.synapses:
+            P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i = self._channel_consts
+            y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
+            term = self._term
+            np.multiply(y1e, P31e, out=acc)
+            np.multiply(y2e, P32e, out=term)
+            acc += term
+            np.multiply(y1i, P31i, out=term)
+            acc += term
+            np.multiply(y2i, P32i, out=term)
+            acc += term
+            V += acc
 
-        # alpha channels (y2 before y1: P21 needs the start-of-step y1; the decay
-        # factor e^(-dt/tau_s) is shared by both stages)
-        y2e *= P11e
-        np.multiply(y1e, P21e, out=term)
-        y2e += term
-        y1e *= P11e
-        y2i *= P11i
-        np.multiply(y1i, P21i, out=term)
-        y2i += term
-        y1i *= P11i
+            # alpha channels (y2 before y1: P21 needs the start-of-step y1; the
+            # decay factor e^(-dt/tau_s) is shared by both stages)
+            y2e *= P11e
+            np.multiply(y1e, P21e, out=term)
+            y2e += term
+            y1e *= P11e
+            y2i *= P11i
+            np.multiply(y1i, P21i, out=term)
+            y2i += term
+            y1i *= P11i
 
         # threshold decay and refractory countdown
         h1 *= decay_h1

@@ -255,6 +255,13 @@ def test_numeric_errors_exit_3(tmp_path):
     assert main(["calibrate", "--config", cfg]) == 3
 
 
+def test_calibrating_a_neuron_that_fires_at_rest_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", neuron_omega=-75)   # below E_L = -70
+    assert main(["calibrate", "--config", cfg]) == 3
+    assert "at 0 pA is 5, not 0" in capsys.readouterr().err
+    assert "i_k" not in read_kv(cfg)
+
+
 def test_missing_ik_is_config_error(tmp_path):
     cfg = write_cfg(tmp_path / "c.cfg")   # no i_k key
     assert main(["train", "--phase", "1", "--config", cfg,

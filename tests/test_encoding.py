@@ -119,6 +119,11 @@ def bisect_ik(params, window, target, dt):
 
     count = lambda n: spikes_under_constant_current(params, n * GRID, window, dt).size
 
+    if count(0):
+        raise NumericError(
+            f"spike count at 0 pA is {count(0)}, not 0, in {window:g} ms "
+            f"(omega={params.omega} mV, E_L={params.E_L} mV): a zero pixel "
+            "would not stay silent")
     hi = max(1, int(round(params.rheobase / GRID)))
     for _ in range(64):
         if count(hi) >= target:
@@ -165,9 +170,25 @@ def _sweep_cases(n, seed=17):
     (NeuronParams(t_ref=6.0), 17, 0.1),                     # refractory cap
     (NeuronParams(t_ref=2.05), 47, 0.2),                    # count saturates at 46
     (NeuronParams(t_ref=0.0, alpha1=0.0, alpha2=0.0), 3, 0.2),  # count jumps 0 -> 294
+    (NeuronParams(), 1, 0.1),                               # just above the rheobase
+    (NeuronParams(omega=-69.99), 1, 0.2),                   # rheobase 0.2 pA
+    (NeuronParams(omega=-66.0, alpha1=60.0, t_ref=0.5), 20, 0.1),  # 23x the rheobase
+    (NeuronParams(omega=-70.0), 10, 0.1),                   # 1 spike at 0 pA
+    (NeuronParams(omega=-75.0), 10, 0.2),                   # 5 spikes at 0 pA
 ])
 def test_population_search_matches_bisection(params, target, dt):
     assert _outcome(calibrate_ik, params, target, dt) == _outcome(bisect_ik, params, target, dt)
+
+
+@pytest.mark.parametrize("omega, count", [(-70.0, 1), (-75.0, 5)])
+def test_calibration_refuses_a_neuron_that_fires_at_rest(omega, count):
+    # unchecked, these calibrated to 397.6 and 295.6 pA, and every zero pixel
+    # of an image fired
+    params = NeuronParams(omega=omega)
+    assert spikes_under_constant_current(params, 0.0, 100.0, 0.1).size == count
+    with pytest.raises(NumericError, match=rf"at 0 pA is {count}, not 0.*omega={omega} mV, "
+                                           r"E_L=-70.0 mV"):
+        calibrate_ik(params)
 
 
 @pytest.mark.parametrize("dt", [0.1, 0.2])

@@ -406,6 +406,48 @@ def test_kernel_refuses_a_state_without_a_flat_view(params):
         StepKernel(state, params, np.zeros(3), 0.1)
 
 
+def quiet_state(rng, shape, params):
+    """random_state with every synaptic channel at zero, the inhibitory ones
+    at -0.0, as a decayed negative value underflows."""
+    state = random_state(rng, shape, params)
+    for name in ("y1_ex", "y2_ex"):
+        getattr(state, name)[...] = 0.0
+    for name in ("y1_in", "y2_in"):
+        getattr(state, name)[...] = -0.0
+    return state
+
+
+@pytest.mark.parametrize("shape", [(90,), (3, 45)])
+def test_kernel_without_synapses_is_bit_identical_to_the_full_kernel(params, shape):
+    rng = np.random.default_rng(sum(shape) + 1)
+    dt, n_steps = 0.1, 1000
+    # currents below, at and far above the rheobase; the last fire as fast
+    # as the refractory period allows
+    I_ext = np.resize([0.0, 0.5, 0.99, 1.0, 1.5, 3.0, 40.0], shape) * params.rheobase
+    full = quiet_state(rng, shape, params)
+    state = copy_state(full)
+    full_step = StepKernel(full, params, I_ext, dt)
+    step = StepKernel(state, params, I_ext, dt, synapses=False)
+    counts = np.zeros(I_ext.size, dtype=np.int64)
+    for _ in range(n_steps):
+        ids = step()
+        assert np.array_equal(ids, full_step())
+        for name in STATE_ARRAYS:
+            assert getattr(state, name).tobytes() == getattr(full, name).tobytes(), name
+        counts[ids] += 1
+    assert counts.max() == round(n_steps * dt / params.t_ref)
+    assert (counts == 0).any() and ((counts > 0) & (counts < counts.max())).any()
+
+
+@pytest.mark.parametrize("channel", ["y1_ex", "y2_ex", "y1_in", "y2_in"])
+def test_kernel_without_synapses_refuses_a_live_channel(params, channel):
+    state = new_state((2, 3), params)
+    getattr(state, channel)[1, 2] = 1e-300 if channel.endswith("ex") else -1e-300
+    with pytest.raises(ValueError, match=rf"^{channel} is not all zero"):
+        StepKernel(state, params, np.zeros(3), 0.1, synapses=False)
+    StepKernel(state, params, np.zeros(3), 0.1)   # the full kernel integrates it
+
+
 # -- validation ------------------------------------------------------------------
 
 
