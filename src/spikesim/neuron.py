@@ -27,6 +27,17 @@ one. A population that receives no synapses, as in calibration, steps with a
 kernel that leaves out the alpha channels, which stay exactly zero. Likewise
 a loop checks its weights once and delivers through the same unchecked
 arithmetic that deliver_spike runs after its per-call checks.
+
+The two channels, and the two threshold components, run the same elementwise
+operations with different constants. So new_state keeps each such pair as the
+two rows of one buffer, and a kernel for a small population (at most FUSE_MAX
+elements) steps each pair with one numpy call over that buffer, multiplying by
+a coefficient array that holds the pair's two constants side by side. At the
+sizes of the toy network a step costs numpy's per-call overhead, not its
+arithmetic, so fewer calls make a cheaper step; on larger populations the
+coefficient arrays' memory traffic costs more than the calls it saves, and
+the kernel steps each array with its own call. Every element gets the same
+float64 operations in the same order either way.
 """
 
 from __future__ import annotations
@@ -42,6 +53,11 @@ import numpy as np
 # emission gate against float dust from repeated dt subtraction; it is orders of
 # magnitude below any sane dt.
 REFRACTORY_EPS = 1e-9
+
+# A StepKernel steps the state pairs of a population of at most this many
+# elements, batch included, with one call per pair (see the module docstring).
+# Set from a sweep of the step's time against the per-array calls.
+FUSE_MAX = 1024
 
 
 def _require_finite(config) -> None:
@@ -109,6 +125,12 @@ class NeuronState:
 
     y1_*/y2_* are the two state variables of each alpha-kernel channel; y2 is
     the actual synaptic current (pA) entering the membrane equation.
+
+    When new_state makes the state, each pair that the step updates alike,
+    (y1_ex, y1_in), (y2_ex, y2_in) and (h1, h2), is the two rows of one
+    (2,) + shape buffer, so that a StepKernel can step the pair with one call.
+    Each field is still an array of the population's shape; a state built
+    from separate arrays steps the same, one array at a time.
     """
 
     V_m: np.ndarray                 # membrane potential (mV)
@@ -125,17 +147,22 @@ class NeuronState:
         return self.V_m.shape[-1]
 
 
+_FIELDS = tuple(f.name for f in fields(NeuronState))
+# the state pairs that a step updates alike, each the rows of one buffer
+_PAIRS = (("y1_ex", "y1_in"), ("y2_ex", "y2_in"), ("h1", "h2"))
+
+
 def new_state(n: int | tuple[int, int], params: NeuronParams) -> NeuronState:
     """Allocate a fresh population of `n` neurons at rest; `n` may also be a
     shape (images, neurons), one row of state per image of a batch."""
     shape = (n,) if np.ndim(n) == 0 else tuple(n)
     if min(shape) < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
-    z = lambda: np.zeros(shape, dtype=np.float64)
+    y1, y2, h = (np.zeros((2,) + shape, dtype=np.float64) for _ in _PAIRS)
     return NeuronState(
         V_m=np.full(shape, params.E_L, dtype=np.float64),
-        h1=z(), h2=z(), y1_ex=z(), y2_ex=z(), y1_in=z(), y2_in=z(),
-        refractory_remaining=z(),
+        h1=h[0], h2=h[1], y1_ex=y1[0], y2_ex=y2[0], y1_in=y1[1], y2_in=y2[1],
+        refractory_remaining=np.zeros(shape, dtype=np.float64),
     )
 
 
@@ -203,6 +230,41 @@ def propagators(params: NeuronParams, dt: float) -> Propagators:
     )
 
 
+def _frozen(value) -> np.ndarray:
+    """`value` as a read-only float64 array, safe to share between kernels."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=32)
+def _step_constants(params: NeuronParams, dt: float):
+    """What every StepKernel for `params` and `dt` reads, made once: the
+    propagators, and the step's constants as read-only 0-d float64 arrays.
+    numpy converts a Python float operand on every call, which costs more
+    than the arithmetic on a few hundred neurons; a 0-d array gives the same
+    float64 operations."""
+    P = propagators(params, dt)
+    consts = tuple(map(_frozen, (params.E_L, P.P33, P.decay_h1, P.decay_h2, dt, 0.0,
+                                 params.omega, REFRACTORY_EPS, params.alpha1,
+                                 params.alpha2, params.t_ref)))
+    channels = tuple(map(_frozen, (P.P31_ex, P.P32_ex, P.P31_in, P.P32_in,
+                                   P.P11_ex, P.P21_ex, P.P11_in, P.P21_in)))
+    return P, consts, channels
+
+
+@lru_cache(maxsize=32)
+def _pair_coefficients(params: NeuronParams, dt: float, size: int) -> tuple[np.ndarray, ...]:
+    """Read-only coefficient arrays for stepping the state pairs of `size`
+    elements with one call each: P31, P32, P11 and P21 of the excitatory
+    channel over the first `size` entries and of the inhibitory one over the
+    rest, then decay_h1 and decay_h2 the same way."""
+    P = propagators(params, dt)
+    return tuple(_frozen(np.repeat(pair, size)) for pair in (
+        (P.P31_ex, P.P31_in), (P.P32_ex, P.P32_in), (P.P11_ex, P.P11_in),
+        (P.P21_ex, P.P21_in), (P.decay_h1, P.decay_h2)))
+
+
 def threshold_at(state: NeuronState, params: NeuronParams) -> np.ndarray:
     """Current firing threshold omega + h1 + h2 (mV) for every neuron."""
     return params.omega + state.h1 + state.h2
@@ -263,43 +325,71 @@ def deliver_spike(state: NeuronState, weight, sign: str,
     return state
 
 
+def _pair_buffer(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The flat buffer whose halves are `a` then `b`, when the two are rows 0
+    and 1 of one C-contiguous (2,) + shape array, as new_state makes them;
+    otherwise None."""
+    buf = a.base
+    if (buf is None or b.base is not buf or buf.shape != (2,) + a.shape
+            or not buf.flags.c_contiguous or a.strides != buf.strides[1:]
+            or b.strides != a.strides):
+        return None
+    # each of a and b spans exactly one row's bytes inside the buffer, so a
+    # is row 0 when it shares none with row 1, and b row 1 likewise
+    if np.may_share_memory(a, buf[1]) or np.may_share_memory(b, buf[0]):
+        return None
+    return buf.reshape(-1)
+
+
 class StepKernel:
     """The neuron step of one simulation loop, prepared once.
 
     Built for one `state`, `params`, `dt` and a fixed external current
-    `I_ext`: it fetches the propagators and computes the constant drive
-    E_L + drive * I_ext once, and allocates the scratch the step needs. Each
-    call advances every neuron by one step of `dt` ms, updating the state's
-    arrays in place (they must not be replaced while the kernel is in use),
-    and returns the flat ids (into the raveled state) of the neurons that
-    spiked, ascending; `spiked` holds the same step's boolean mask until the
-    next call overwrites it.
+    `I_ext`: it computes the constant drive E_L + drive * I_ext once, fetches
+    the step's constants (cached per params and dt) and allocates the scratch
+    the step needs. Each call advances every neuron by one step of `dt` ms,
+    updating the state's arrays in place (they must not be replaced while the
+    kernel is in use), and returns the flat ids (into the raveled state) of
+    the neurons that spiked, ascending; `spiked` holds the same step's boolean
+    mask until the next call overwrites it.
 
     Order within the step: exact update of membrane + synaptic channels,
     threshold decay, refractory countdown, then the spike test at the step end
     (refractory elapsed and V_m >= threshold). Threshold jumps and the
     refractory reload apply after the test, so a spike never suppresses itself.
-    The membrane is not reset on spike. The current and the state are
+    The membrane is not reset on spike. The current and every state array are
     checked for finiteness once, here.
+
+    The layout of the step: when the state has at most FUSE_MAX elements and
+    each of its pairs (y1_ex, y1_in), (y2_ex, y2_in) and (h1, h2) is the rows
+    of one buffer, as new_state makes them, the kernel is `paired`: it steps
+    each pair with one call over the buffer against coefficient arrays
+    (cached per params, dt and size), 22 numpy calls for a silent step.
+    Otherwise it steps each array with its own call against 0-d constants,
+    29 calls. Both give every element the same float64 operations in the
+    same order, the channel terms of the membrane summed as
+    ((y1_ex * P31_ex + y2_ex * P32_ex) + y1_in * P31_in) + y2_in * P32_in,
+    so they give the same ids and the same state bits.
 
     With `synapses=False` the kernel serves a population that receives no
     spikes (calibration's): the step leaves out the alpha channels and their
-    terms in the membrane, 16 of the 29 numpy calls of a silent step. Each
-    channel is its own linear subsystem, so at zero it stays zero and adds a
-    zero to V_m, and the step gives the same ids and the same state bits (a
-    V_m of exactly -0.0 may keep a sign that the full step would clear). The
-    constructor refuses a state whose channels are not all zero, since this
-    kernel would never integrate them.
+    terms in the membrane, 16 of the 29 numpy calls of an unpaired silent
+    step (10 of the 22 of a paired one). Each channel is its own linear
+    subsystem, so at zero it stays zero and adds a zero to V_m, and the step
+    gives the same ids and the same state bits (a V_m of exactly -0.0 may keep
+    a sign that the full step would clear). The constructor refuses a state
+    whose channels are not all zero, since this kernel would never integrate
+    them.
     """
 
     def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float,
                  synapses: bool = True) -> None:
-        P = propagators(params, dt)
+        P, self._consts, self._channel_consts = _step_constants(params, dt)
         I = np.asarray(I_ext, dtype=np.float64)
-        if not np.all(np.isfinite(I)):
+        if not np.isfinite(I).all():
             raise ValueError("non-finite external current")
-        for name in ("V_m", "h1", "h2", "y1_ex", "y2_ex", "y1_in", "y2_in"):
-            if not np.all(np.isfinite(getattr(state, name))):
+        for name in _FIELDS:
+            if not np.isfinite(getattr(state, name)).all():
                 raise ValueError(f"non-finite neuron state in {name}")
         if not synapses:
             for name in ("y1_ex", "y2_ex", "y1_in", "y2_in"):
@@ -308,23 +398,24 @@ class StepKernel:
                                      "synapses never integrates it")
         self.state, self.synapses = state, synapses
         self._drive = params.E_L + P.drive * I
-        # as 0-d float64 arrays: numpy converts a Python float operand on
-        # every call, which costs more than the arithmetic on a few hundred
-        # neurons; the results are the same float64 operations
-        const = lambda *cs: tuple(np.array(c, dtype=np.float64) for c in cs)
-        self._consts = const(params.E_L, P.P33, P.decay_h1, P.decay_h2, dt, 0.0,
-                             params.omega, REFRACTORY_EPS, params.alpha1, params.alpha2,
-                             params.t_ref)
-        self._channel_consts = const(P.P31_ex, P.P32_ex, P.P31_in, P.P32_in,
-                                     P.P11_ex, P.P21_ex, P.P11_in, P.P21_in)
-        shape = state.V_m.shape
-        self._sum, self._term = np.empty(shape), np.empty(shape)
+        shape, size = state.V_m.shape, state.V_m.size
+        self._sum = np.empty(shape)
         self.spiked, self._ready = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         # flat views, for the updates by id
         flat = (self.spiked, state.h1, state.h2, state.refractory_remaining)
         self._flat = tuple(a.reshape(-1) for a in flat)
         if not all(map(np.may_share_memory, self._flat, flat)):
             raise ValueError("neuron state arrays must have a flat view (e.g. C-contiguous)")
+        buffers = ([_pair_buffer(getattr(state, a), getattr(state, b)) for a, b in _PAIRS]
+                   if size <= FUSE_MAX else [None])
+        self.paired = all(b is not None for b in buffers)
+        if self.paired:
+            # scratch for the products of each channel pair, flat and by row
+            terms = np.empty((2, 2) + shape)
+            self._pairs = (*buffers, *(t.reshape(-1) for t in terms), *terms[0], *terms[1],
+                           *_pair_coefficients(params, dt, size))
+        else:
+            self._term = np.empty(shape)
 
     def __call__(self) -> np.ndarray:
         E_L, P33, decay_h1, decay_h2, dt, zero, omega, eps, alpha1, alpha2, t_ref = self._consts
@@ -336,33 +427,53 @@ class StepKernel:
         V -= E_L
         V *= P33
         V += self._drive
-        if self.synapses:
-            P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i = self._channel_consts
-            y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
-            term = self._term
-            np.multiply(y1e, P31e, out=acc)
-            np.multiply(y2e, P32e, out=term)
-            acc += term
-            np.multiply(y1i, P31i, out=term)
-            acc += term
-            np.multiply(y2i, P32i, out=term)
-            acc += term
-            V += acc
+        if self.paired:
+            Y1, Y2, H, T1, T2, ex1, in1, ex2, in2, P31, P32, P11, P21, decay = self._pairs
+            if self.synapses:
+                # the pairs' products, then their sum in the order above
+                np.multiply(Y1, P31, out=T1)
+                np.multiply(Y2, P32, out=T2)
+                np.add(ex1, ex2, out=acc)
+                acc += in1
+                acc += in2
+                V += acc
 
-            # alpha channels (y2 before y1: P21 needs the start-of-step y1; the
-            # decay factor e^(-dt/tau_s) is shared by both stages)
-            y2e *= P11e
-            np.multiply(y1e, P21e, out=term)
-            y2e += term
-            y1e *= P11e
-            y2i *= P11i
-            np.multiply(y1i, P21i, out=term)
-            y2i += term
-            y1i *= P11i
+                # both alpha channels, as below
+                Y2 *= P11
+                np.multiply(Y1, P21, out=T1)
+                Y2 += T1
+                Y1 *= P11
+            # both threshold components
+            H *= decay
+        else:
+            if self.synapses:
+                P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i = self._channel_consts
+                y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
+                term = self._term
+                np.multiply(y1e, P31e, out=acc)
+                np.multiply(y2e, P32e, out=term)
+                acc += term
+                np.multiply(y1i, P31i, out=term)
+                acc += term
+                np.multiply(y2i, P32i, out=term)
+                acc += term
+                V += acc
 
-        # threshold decay and refractory countdown
-        h1 *= decay_h1
-        h2 *= decay_h2
+                # alpha channels (y2 before y1: P21 needs the start-of-step y1; the
+                # decay factor e^(-dt/tau_s) is shared by both stages)
+                y2e *= P11e
+                np.multiply(y1e, P21e, out=term)
+                y2e += term
+                y1e *= P11e
+                y2i *= P11i
+                np.multiply(y1i, P21i, out=term)
+                y2i += term
+                y1i *= P11i
+            # threshold decay
+            h1 *= decay_h1
+            h2 *= decay_h2
+
+        # refractory countdown
         np.subtract(r, dt, out=r)
         np.maximum(r, zero, out=r)
 

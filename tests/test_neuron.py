@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spikesim import NeuronParams, new_state, step_neuron
+from spikesim import NeuronParams, new_state, neuron, step_neuron
 from spikesim.neuron import (REFRACTORY_EPS, NeuronState, StepKernel, deliver_spike,
                              propagators, threshold_at)
 
@@ -321,9 +321,10 @@ def test_kernel_is_bit_identical_to_the_reference_step(params, shape):
     dt, n_steps = 0.1, 600
     # currents on both sides of the rheobase (380 pA)
     I_ext = rng.uniform(0.0, 2.0 * params.rheobase, shape)
-    ref = random_state(rng, shape, params)
-    state = copy_state(ref)
+    state = random_state(rng, shape, params)
+    ref = copy_state(state)
     step = StepKernel(state, params, I_ext, dt)
+    assert step.paired
     deliveries = random_deliveries(rng, shape, n_steps)
     n_spikes = n_refractory_blocked = 0
     for weights in deliveries:
@@ -406,6 +407,68 @@ def test_kernel_refuses_a_state_without_a_flat_view(params):
         StepKernel(state, params, np.zeros(3), 0.1)
 
 
+def signed_zero_state(rng, shape, params):
+    """random_state with about a quarter of every channel's entries at +0.0
+    and another quarter at -0.0."""
+    state = random_state(rng, shape, params)
+    for name in ("y1_ex", "y2_ex", "y1_in", "y2_in"):
+        pick = rng.integers(0, 4, shape)
+        getattr(state, name)[pick == 0] = 0.0
+        getattr(state, name)[pick == 1] = -0.0
+    return state
+
+
+@pytest.mark.parametrize("shape", [(15,), (111,), (5, 15), (6, 100), (1636,), (2, 1536)])
+def test_paired_and_unpaired_kernels_are_bit_identical(monkeypatch, params, shape):
+    rng = np.random.default_rng(sum(shape) + 2)
+    dt, n_steps, size = 0.1, 1000, math.prod(shape)
+    # currents around the rheobase (380 pA)
+    I_ext = rng.uniform(0.5, 1.5, shape) * params.rheobase
+    paired = signed_zero_state(rng, shape, params)
+    twin = new_state(shape, params)
+    for name in STATE_ARRAYS:
+        getattr(twin, name)[...] = getattr(paired, name)
+    hand_built = copy_state(paired)
+    states = (paired, twin, hand_built)
+    monkeypatch.setattr(neuron, "FUSE_MAX", size)
+    steps = [StepKernel(paired, params, I_ext, dt), None, StepKernel(hand_built, params, I_ext, dt)]
+    monkeypatch.setattr(neuron, "FUSE_MAX", size - 1)
+    steps[1] = StepKernel(twin, params, I_ext, dt)
+    assert [step.paired for step in steps] == [True, False, False]
+    n_spikes = 0
+    for weights in random_deliveries(rng, shape, n_steps):
+        ids = [step().tobytes() for step in steps]
+        assert ids[0] == ids[1] == ids[2]
+        for name in STATE_ARRAYS:
+            got = [getattr(state, name).tobytes() for state in states]
+            assert got[0] == got[1] == got[2], name
+        n_spikes += steps[0].spiked.sum()
+        for state in states:
+            deliver(state, weights, params)
+    assert n_spikes > size // 2
+
+
+def test_kernel_layout_follows_the_size_and_the_buffers(params):
+    at = neuron.FUSE_MAX
+    layout = lambda state: StepKernel(state, params, 0.0, 0.1).paired
+    assert layout(new_state(at, params))
+    assert not layout(new_state(at + 1, params))
+    # the batch counts: the bound is on the elements
+    assert layout(new_state((2, at // 2), params))
+    assert not layout(new_state((2, at // 2 + 1), params))
+    assert not layout(copy_state(new_state(15, params)))
+    swapped = new_state(15, params)
+    swapped.y1_ex, swapped.y1_in = swapped.y1_in, swapped.y1_ex
+    assert not layout(swapped)
+
+
+def test_cached_step_constants_are_read_only(params):
+    # every kernel for the same params and dt shares these arrays
+    _, consts, channels = neuron._step_constants(params, 0.1)
+    for a in consts + channels + neuron._pair_coefficients(params, 0.1, 15):
+        assert not a.flags.writeable
+
+
 def quiet_state(rng, shape, params):
     """random_state with every synaptic channel at zero, the inhibitory ones
     at -0.0, as a decayed negative value underflows."""
@@ -449,6 +512,17 @@ def test_kernel_without_synapses_refuses_a_live_channel(params, channel):
 
 
 # -- validation ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("name", STATE_ARRAYS)
+@pytest.mark.parametrize("build", [new_state, lambda shape, p: copy_state(new_state(shape, p))],
+                         ids=["new_state", "hand-built"])
+def test_kernel_refuses_a_non_finite_state_array(params, build, name, value):
+    state = build((2, 3), params)
+    getattr(state, name)[1, 2] = value
+    with pytest.raises(ValueError, match=rf"^non-finite neuron state in {name}$"):
+        StepKernel(state, params, np.zeros(3), 0.1)
 
 
 def test_nonfinite_input_rejected(params):
