@@ -268,9 +268,17 @@ def cmd_test(args) -> int:
     enc = _encoding_config(cfg)
     dataset = resolve_dataset(cfg, net_cfg, "test", args.data)
     net = build_network(net_cfg, params)
-    apply_checkpoint(net, load_checkpoint(args.checkpoint))
+    ckpt = load_checkpoint(args.checkpoint)
+    apply_checkpoint(net, ckpt)
+    if ckpt.phase == 1:
+        print(f"warning: {args.checkpoint} is a phase-1 checkpoint: its readout is "
+              "not trained yet, so expect chance accuracy", file=sys.stderr)
     report = evaluate(net, dataset, sim, enc)
+    # warnings go to stderr, so that the report on stdout keeps its bytes
     print(report.render())
+    if report.ties:
+        print(f"warning: {report.ties} of {report.n_samples} predictions were ties, "
+              "each resolved to the lowest class index", file=sys.stderr)
     return 0
 
 

@@ -28,16 +28,17 @@ kernel that leaves out the alpha channels, which stay exactly zero. Likewise
 a loop checks its weights once and delivers through the same unchecked
 arithmetic that deliver_spike runs after its per-call checks.
 
-The two channels, and the two threshold components, run the same elementwise
-operations with different constants. So new_state keeps each such pair as the
-two rows of one buffer, and a kernel for a small population (at most FUSE_MAX
-elements) steps each pair with one numpy call over that buffer, multiplying by
-a coefficient array that holds the pair's two constants side by side. At the
-sizes of the toy network a step costs numpy's per-call overhead, not its
-arithmetic, so fewer calls make a cheaper step; on larger populations the
-coefficient arrays' memory traffic costs more than the calls it saves, and
-the kernel steps each array with its own call. Every element gets the same
-float64 operations in the same order either way.
+Exact integration makes the step a fixed linear map per element: once the
+channel products are taken from the start-of-step values, V, every channel
+stage and both threshold components update by one multiply each. So new_state
+keeps the whole state as the rows of one buffer, each group of rows that the
+step updates alike a contiguous run, and a kernel for a small population (at
+most FUSE_MAX elements) steps each group with one numpy call against a
+coefficient array of the rows' constants side by side. At the toy's sizes a
+step costs numpy's per-call overhead, so fewer calls make a cheaper step; on
+larger populations the coefficient arrays' memory traffic costs more than the
+calls save, and the kernel steps each array with its own call. Every element
+gets the same float64 operations in the same order either way.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ import numpy as np
 # magnitude below any sane dt.
 REFRACTORY_EPS = 1e-9
 
-# A StepKernel steps the state pairs of a population of at most this many
-# elements, batch included, with one call per pair (see the module docstring).
-# Set from a sweep of the step's time against the per-array calls.
-FUSE_MAX = 1024
+# A StepKernel steps the state buffer of a population of at most this many
+# elements, batch included, a group of rows per call (see the module
+# docstring). Set from a sweep of the step's time against the per-array calls.
+FUSE_MAX = 1280
 
 
 def _require_finite(config) -> None:
@@ -126,11 +127,12 @@ class NeuronState:
     y1_*/y2_* are the two state variables of each alpha-kernel channel; y2 is
     the actual synaptic current (pA) entering the membrane equation.
 
-    When new_state makes the state, each pair that the step updates alike,
-    (y1_ex, y1_in), (y2_ex, y2_in) and (h1, h2), is the two rows of one
-    (2,) + shape buffer, so that a StepKernel can step the pair with one call.
-    Each field is still an array of the population's shape; a state built
-    from separate arrays steps the same, one array at a time.
+    When new_state makes the state, its fields are the rows of one (8,) + shape
+    buffer, in the order refractory_remaining, V_m, y2_ex, y2_in, y1_ex, y1_in,
+    h1, h2, so that a StepKernel can step each run of rows that it updates
+    alike with one call. Each field is still an array of the population's
+    shape; a state built from separate arrays, or with a field replaced or
+    swapped, steps the same, one array at a time.
     """
 
     V_m: np.ndarray                 # membrane potential (mV)
@@ -148,22 +150,21 @@ class NeuronState:
 
 
 _FIELDS = tuple(f.name for f in fields(NeuronState))
-# the state pairs that a step updates alike, each the rows of one buffer
-_PAIRS = (("y1_ex", "y1_in"), ("y2_ex", "y2_in"), ("h1", "h2"))
+# the rows of new_state's buffer: each group that a StepKernel updates with one
+# call, [r, V], [y2, y1], y1, [V .. h2] and [V, y2], is a contiguous run
+_ROWS = ("refractory_remaining", "V_m", "y2_ex", "y2_in", "y1_ex", "y1_in", "h1", "h2")
 
 
 def new_state(n: int | tuple[int, int], params: NeuronParams) -> NeuronState:
     """Allocate a fresh population of `n` neurons at rest; `n` may also be a
-    shape (images, neurons), one row of state per image of a batch."""
+    shape (images, neurons), one row of state per image of a batch. The
+    fields are the rows of one buffer (see NeuronState)."""
     shape = (n,) if np.ndim(n) == 0 else tuple(n)
     if min(shape) < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
-    y1, y2, h = (np.zeros((2,) + shape, dtype=np.float64) for _ in _PAIRS)
-    return NeuronState(
-        V_m=np.full(shape, params.E_L, dtype=np.float64),
-        h1=h[0], h2=h[1], y1_ex=y1[0], y2_ex=y2[0], y1_in=y1[1], y2_in=y2[1],
-        refractory_remaining=np.zeros(shape, dtype=np.float64),
-    )
+    buf = np.zeros((len(_ROWS),) + shape, dtype=np.float64)
+    buf[_ROWS.index("V_m")] = params.E_L
+    return NeuronState(**dict(zip(_ROWS, buf)))
 
 
 @dataclass(frozen=True)
@@ -254,15 +255,14 @@ def _step_constants(params: NeuronParams, dt: float):
 
 
 @lru_cache(maxsize=32)
-def _pair_coefficients(params: NeuronParams, dt: float, size: int) -> tuple[np.ndarray, ...]:
-    """Read-only coefficient arrays for stepping the state pairs of `size`
-    elements with one call each: P31, P32, P11 and P21 of the excitatory
-    channel over the first `size` entries and of the inhibitory one over the
-    rest, then decay_h1 and decay_h2 the same way."""
+def _buffer_coefficients(params: NeuronParams, dt: float, size: int) -> tuple[np.ndarray, ...]:
+    """Read-only coefficient arrays for the groups of rows of a fused step
+    (see StepKernel) over a state buffer of `size`-element rows: each row's
+    constant over `size` entries."""
     P = propagators(params, dt)
-    return tuple(_frozen(np.repeat(pair, size)) for pair in (
-        (P.P31_ex, P.P31_in), (P.P32_ex, P.P32_in), (P.P11_ex, P.P11_in),
-        (P.P21_ex, P.P21_in), (P.decay_h1, P.decay_h2)))
+    return tuple(_frozen(np.repeat(group, size)) for group in (
+        (dt, params.E_L), (P.P32_ex, P.P32_in, P.P31_ex, P.P31_in), (P.P21_ex, P.P21_in),
+        (P.P33, P.P11_ex, P.P11_in, P.P11_ex, P.P11_in, P.decay_h1, P.decay_h2)))
 
 
 def threshold_at(state: NeuronState, params: NeuronParams) -> np.ndarray:
@@ -325,19 +325,20 @@ def deliver_spike(state: NeuronState, weight, sign: str,
     return state
 
 
-def _pair_buffer(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The flat buffer whose halves are `a` then `b`, when the two are rows 0
-    and 1 of one C-contiguous (2,) + shape array, as new_state makes them;
-    otherwise None."""
-    buf = a.base
-    if (buf is None or b.base is not buf or buf.shape != (2,) + a.shape
-            or not buf.flags.c_contiguous or a.strides != buf.strides[1:]
-            or b.strides != a.strides):
+def _state_buffer(state: NeuronState) -> np.ndarray | None:
+    """The state's buffer, flat, when its fields are the rows of one
+    C-contiguous (8,) + shape float64 array in _ROWS order, as new_state
+    makes them; otherwise None."""
+    buf, shape = state.V_m.base, state.V_m.shape
+    if (not isinstance(buf, np.ndarray) or buf.shape != (len(_ROWS),) + shape
+            or buf.dtype != np.float64 or not buf.flags.c_contiguous):
         return None
-    # each of a and b spans exactly one row's bytes inside the buffer, so a
-    # is row 0 when it shares none with row 1, and b row 1 likewise
-    if np.may_share_memory(a, buf[1]) or np.may_share_memory(b, buf[0]):
-        return None
+    start, row, strides = buf.ctypes.data, buf.strides[0], buf.strides[1:]
+    for k, name in enumerate(_ROWS):
+        a = getattr(state, name)
+        if (a.base is not buf or a.shape != shape or a.strides != strides
+                or a.ctypes.data != start + k * row):
+            return None
     return buf.reshape(-1)
 
 
@@ -361,25 +362,27 @@ class StepKernel:
     checked for finiteness once, here.
 
     The layout of the step: when the state has at most FUSE_MAX elements and
-    each of its pairs (y1_ex, y1_in), (y2_ex, y2_in) and (h1, h2) is the rows
-    of one buffer, as new_state makes them, the kernel is `paired`: it steps
-    each pair with one call over the buffer against coefficient arrays
-    (cached per params, dt and size), 22 numpy calls for a silent step.
-    Otherwise it steps each array with its own call against 0-d constants,
-    29 calls. Both give every element the same float64 operations in the
-    same order, the channel terms of the membrane summed as
+    its fields are the rows of one buffer, as new_state makes them, the kernel
+    is `fused` and runs each group of rows that it updates alike as one numpy
+    call against a coefficient array as long as the group (cached per params,
+    dt and size): [r, V] -= [dt, E_L]; the products [y2, y1] * [P32, P31] and
+    y1 * P21 of the start-of-step values; the rows V to h2 *= [P33, P11, P11,
+    decay_h1, decay_h2]; [V, y2] += [drive, y1 * P21]. A silent step makes 16
+    numpy calls. Otherwise the kernel steps each array with its own call
+    against 0-d constants, 29 calls. Both give every element the same float64
+    operations in the same order, the channel terms of the membrane summed as
     ((y1_ex * P31_ex + y2_ex * P32_ex) + y1_in * P31_in) + y2_in * P32_in,
     so they give the same ids and the same state bits.
 
     With `synapses=False` the kernel serves a population that receives no
-    spikes (calibration's): the step leaves out the alpha channels and their
-    terms in the membrane, 16 of the 29 numpy calls of an unpaired silent
-    step (10 of the 22 of a paired one). Each channel is its own linear
-    subsystem, so at zero it stays zero and adds a zero to V_m, and the step
-    gives the same ids and the same state bits (a V_m of exactly -0.0 may keep
-    a sign that the full step would clear). The constructor refuses a state
-    whose channels are not all zero, since this kernel would never integrate
-    them.
+    spikes (calibration's): the step leaves out the channel products, their
+    terms in the membrane and the channel updates, 10 numpy calls for a silent
+    fused step (its one multiply keeps the zero channel rows zero), 13 for a
+    per-array one. Each channel is its own linear subsystem, so at zero it
+    stays zero and adds a zero to V_m, and the step gives the same ids and the
+    same state bits (a V_m of exactly -0.0 may keep a sign that the full step
+    would clear). The constructor refuses a state whose channels are not all
+    zero, since this kernel would never integrate them.
     """
 
     def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float,
@@ -388,9 +391,13 @@ class StepKernel:
         I = np.asarray(I_ext, dtype=np.float64)
         if not np.isfinite(I).all():
             raise ValueError("non-finite external current")
-        for name in _FIELDS:
-            if not np.isfinite(getattr(state, name)).all():
-                raise ValueError(f"non-finite neuron state in {name}")
+        shape, n = state.V_m.shape, state.V_m.size
+        buf = _state_buffer(state) if n <= FUSE_MAX else None
+        # one check over a buffer, and a second pass to name a bad field
+        if buf is None or not np.isfinite(buf).all():
+            for name in _FIELDS:
+                if not np.isfinite(getattr(state, name)).all():
+                    raise ValueError(f"non-finite neuron state in {name}")
         if not synapses:
             for name in ("y1_ex", "y2_ex", "y1_in", "y2_in"):
                 if np.any(getattr(state, name)):
@@ -398,7 +405,6 @@ class StepKernel:
                                      "synapses never integrates it")
         self.state, self.synapses = state, synapses
         self._drive = params.E_L + P.drive * I
-        shape, size = state.V_m.shape, state.V_m.size
         self._sum = np.empty(shape)
         self.spiked, self._ready = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         # flat views, for the updates by id
@@ -406,14 +412,16 @@ class StepKernel:
         self._flat = tuple(a.reshape(-1) for a in flat)
         if not all(map(np.may_share_memory, self._flat, flat)):
             raise ValueError("neuron state arrays must have a flat view (e.g. C-contiguous)")
-        buffers = ([_pair_buffer(getattr(state, a), getattr(state, b)) for a, b in _PAIRS]
-                   if size <= FUSE_MAX else [None])
-        self.paired = all(b is not None for b in buffers)
-        if self.paired:
-            # scratch for the products of each channel pair, flat and by row
-            terms = np.empty((2, 2) + shape)
-            self._pairs = (*buffers, *(t.reshape(-1) for t in terms), *terms[0], *terms[1],
-                           *_pair_coefficients(params, dt, size))
+        self.fused = buf is not None
+        if self.fused:
+            # buf's rows r, V, y2 (2), y1 (2), h (2) are runs of n; scratch for
+            # the products [ex2, in2, ex1, in1], and the drive beside y1 * P21
+            terms, added = np.empty((4,) + shape), np.empty((3,) + shape)
+            added[0] = self._drive
+            self._groups = (buf[:2 * n], buf[2 * n:6 * n], buf[4 * n:6 * n], buf[n:],
+                            buf[n:4 * n], terms.reshape(-1), added[1:].reshape(-1),
+                            added.reshape(-1), *terms,
+                            *_buffer_coefficients(params, dt, n))
         else:
             self._term = np.empty(shape)
 
@@ -422,30 +430,30 @@ class StepKernel:
         s, acc = self.state, self._sum
         V, h1, h2, r = s.V_m, s.h1, s.h2, s.refractory_remaining
 
-        # membrane first: uses the channel values at the step start; the
-        # channel terms sum left to right, ((ex1 + ex2) + in1) + in2
-        V -= E_L
-        V *= P33
-        V += self._drive
-        if self.paired:
-            Y1, Y2, H, T1, T2, ex1, in1, ex2, in2, P31, P32, P11, P21, decay = self._pairs
-            if self.synapses:
-                # the pairs' products, then their sum in the order above
-                np.multiply(Y1, P31, out=T1)
-                np.multiply(Y2, P32, out=T2)
+        if self.fused:
+            (rV, channels, y1, tail, Vy2, terms, y1P21, added, ex2, in2, ex1, in1,
+             c_rV, c_channels, c_y1, c_tail) = self._groups
+            np.subtract(rV, c_rV, out=rV)
+            if not self.synapses:
+                tail *= c_tail
+                V += self._drive
+            else:
+                # the products from the start-of-step values; the channel
+                # terms sum left to right, ((ex1 + ex2) + in1) + in2
+                np.multiply(channels, c_channels, out=terms)
+                np.multiply(y1, c_y1, out=y1P21)
+                tail *= c_tail
+                Vy2 += added
                 np.add(ex1, ex2, out=acc)
                 acc += in1
                 acc += in2
                 V += acc
-
-                # both alpha channels, as below
-                Y2 *= P11
-                np.multiply(Y1, P21, out=T1)
-                Y2 += T1
-                Y1 *= P11
-            # both threshold components
-            H *= decay
         else:
+            # membrane first: uses the channel values at the step start; the
+            # channel terms sum left to right, ((ex1 + ex2) + in1) + in2
+            V -= E_L
+            V *= P33
+            V += self._drive
             if self.synapses:
                 P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i = self._channel_consts
                 y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
@@ -472,9 +480,9 @@ class StepKernel:
             # threshold decay
             h1 *= decay_h1
             h2 *= decay_h2
+            # refractory countdown
+            np.subtract(r, dt, out=r)
 
-        # refractory countdown
-        np.subtract(r, dt, out=r)
         np.maximum(r, zero, out=r)
 
         # spike test against the threshold (omega + h1) + h2

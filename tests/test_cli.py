@@ -1,7 +1,7 @@
 """Command-line interface: the full train/search/test flow on a tiny network,
 config handling, manifests, and exit codes."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +9,12 @@ import pytest
 
 from spikesim import (NetworkConfig, NeuronParams, SimulationConfig,
                       build_network, save_checkpoint)
-from spikesim.cli import CONFIG_KEYS, load_run_config, main, resolve_dataset
-from spikesim.dataio import (checkpoint_from_network, load_checkpoint, read_kv,
-                             write_kv)
+from spikesim import cli
+from spikesim.cli import (CONFIG_KEYS, _encoding_config, load_run_config, main,
+                          resolve_dataset)
+from spikesim.dataio import (apply_checkpoint, checkpoint_from_network, load_checkpoint,
+                             read_kv, write_kv)
+from spikesim.training import evaluate
 
 from conftest import I_K_DEFAULT, fail_writes
 from test_dataio import cifar_record, write_cifar_dir
@@ -294,6 +297,44 @@ def test_labels_beyond_n_classes_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest_phase2.txt").exists()
     assert main(["test", "--config", cfg, "--checkpoint", ckpt]) == 2
     assert "label 7" in capsys.readouterr().err
+
+
+def evaluate_checkpoint(cfg, ckpt):
+    """The report that `test` prints for `ckpt`, computed without the CLI."""
+    cfg_kv, net_cfg, sim, params = load_run_config(cfg)
+    net = build_network(net_cfg, params)
+    apply_checkpoint(net, load_checkpoint(ckpt))
+    return evaluate(net, resolve_dataset(cfg_kv, net_cfg, "test", None), sim,
+                    _encoding_config(cfg_kv))
+
+
+def test_test_warns_on_stderr_of_a_phase1_checkpoint_and_its_ties(tmp_path, cfg_path, capsys):
+    ckpt = untrained_phase1_checkpoint(cfg_path, tmp_path / "p1.bin")
+    report = evaluate_checkpoint(cfg_path, ckpt)
+    # the untrained readout stays silent: every prediction is a tie
+    assert report.ties == report.n_samples > 0
+    assert main(["test", "--config", cfg_path, "--checkpoint", ckpt]) == 0
+    out, err = capsys.readouterr()
+    assert out == report.render() + "\n"
+    assert err.splitlines() == [
+        f"warning: {ckpt} is a phase-1 checkpoint: its readout is not trained yet, "
+        "so expect chance accuracy",
+        f"warning: {report.ties} of {report.n_samples} predictions were ties, "
+        "each resolved to the lowest class index"]
+
+
+def test_test_warns_of_ties_only_when_there_are_some(tmp_path, cfg_path, capsys, monkeypatch):
+    _, net_cfg, _, params = load_run_config(cfg_path)
+    ckpt = tmp_path / "p2.bin"
+    save_checkpoint(checkpoint_from_network(build_network(net_cfg, params), 2, 0), ckpt)
+    report = evaluate_checkpoint(cfg_path, ckpt)
+    for ties in (0, 1):
+        monkeypatch.setattr(cli, "evaluate", lambda *args: replace(report, ties=ties))
+        assert main(["test", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 0
+        out, err = capsys.readouterr()
+        assert out == report.render() + "\n"
+        assert err == ("" if ties == 0 else f"warning: 1 of {report.n_samples} predictions "
+                       "were ties, each resolved to the lowest class index\n")
 
 
 def test_negative_subset_is_usage_error(tmp_path, cfg_path, capsys):

@@ -324,7 +324,7 @@ def test_kernel_is_bit_identical_to_the_reference_step(params, shape):
     state = random_state(rng, shape, params)
     ref = copy_state(state)
     step = StepKernel(state, params, I_ext, dt)
-    assert step.paired
+    assert step.fused
     deliveries = random_deliveries(rng, shape, n_steps)
     n_spikes = n_refractory_blocked = 0
     for weights in deliveries:
@@ -420,52 +420,75 @@ def signed_zero_state(rng, shape, params):
 
 @pytest.mark.parametrize("shape", [(15,), (111,), (5, 15), (6, 100), (1636,), (2, 1536)])
 def test_paired_and_unpaired_kernels_are_bit_identical(monkeypatch, params, shape):
+    # the one-buffer ("fused") layout against the per-array one, with synapses
+    # and, on a state with every channel at zero, without
     rng = np.random.default_rng(sum(shape) + 2)
     dt, n_steps, size = 0.1, 1000, math.prod(shape)
     # currents around the rheobase (380 pA)
     I_ext = rng.uniform(0.5, 1.5, shape) * params.rheobase
-    paired = signed_zero_state(rng, shape, params)
-    twin = new_state(shape, params)
-    for name in STATE_ARRAYS:
-        getattr(twin, name)[...] = getattr(paired, name)
-    hand_built = copy_state(paired)
-    states = (paired, twin, hand_built)
-    monkeypatch.setattr(neuron, "FUSE_MAX", size)
-    steps = [StepKernel(paired, params, I_ext, dt), None, StepKernel(hand_built, params, I_ext, dt)]
-    monkeypatch.setattr(neuron, "FUSE_MAX", size - 1)
-    steps[1] = StepKernel(twin, params, I_ext, dt)
-    assert [step.paired for step in steps] == [True, False, False]
-    n_spikes = 0
-    for weights in random_deliveries(rng, shape, n_steps):
-        ids = [step().tobytes() for step in steps]
-        assert ids[0] == ids[1] == ids[2]
+    for synapses, make_state in ((True, signed_zero_state), (False, quiet_state)):
+        fused = make_state(rng, shape, params)
+        twin = new_state(shape, params)
         for name in STATE_ARRAYS:
-            got = [getattr(state, name).tobytes() for state in states]
-            assert got[0] == got[1] == got[2], name
-        n_spikes += steps[0].spiked.sum()
-        for state in states:
-            deliver(state, weights, params)
-    assert n_spikes > size // 2
+            getattr(twin, name)[...] = getattr(fused, name)
+        hand_built = copy_state(fused)
+        states = (fused, twin, hand_built)
+        monkeypatch.setattr(neuron, "FUSE_MAX", size)
+        steps = [StepKernel(fused, params, I_ext, dt, synapses), None,
+                 StepKernel(hand_built, params, I_ext, dt, synapses)]
+        monkeypatch.setattr(neuron, "FUSE_MAX", size - 1)
+        steps[1] = StepKernel(twin, params, I_ext, dt, synapses)
+        assert [step.fused for step in steps] == [True, False, False]
+        n_spikes = 0
+        for weights in random_deliveries(rng, shape, n_steps):
+            ids = [step().tobytes() for step in steps]
+            assert ids[0] == ids[1] == ids[2]
+            for name in STATE_ARRAYS:
+                got = [getattr(state, name).tobytes() for state in states]
+                assert got[0] == got[1] == got[2], name
+            n_spikes += steps[0].spiked.sum()
+            for state in states:
+                deliver(state, weights if synapses else None, params)
+        assert n_spikes > size // 2
 
 
 def test_kernel_layout_follows_the_size_and_the_buffers(params):
     at = neuron.FUSE_MAX
-    layout = lambda state: StepKernel(state, params, 0.0, 0.1).paired
+    layout = lambda state: StepKernel(state, params, 0.0, 0.1).fused
     assert layout(new_state(at, params))
     assert not layout(new_state(at + 1, params))
     # the batch counts: the bound is on the elements
     assert layout(new_state((2, at // 2), params))
     assert not layout(new_state((2, at // 2 + 1), params))
     assert not layout(copy_state(new_state(15, params)))
-    swapped = new_state(15, params)
-    swapped.y1_ex, swapped.y1_in = swapped.y1_in, swapped.y1_ex
-    assert not layout(swapped)
+    for name in STATE_ARRAYS:
+        replaced = new_state(15, params)
+        setattr(replaced, name, getattr(replaced, name).copy())
+        assert not layout(replaced), name
+        # a row of another state's buffer, at the same row
+        borrowed = new_state(15, params)
+        setattr(borrowed, name, getattr(new_state(15, params), name))
+        assert not layout(borrowed), name
+        for other in STATE_ARRAYS:
+            if other != name:
+                swapped = new_state(15, params)
+                a, b = getattr(swapped, name), getattr(swapped, other)
+                setattr(swapped, name, b)
+                setattr(swapped, other, a)
+                assert not layout(swapped), (name, other)
+    # a row-sized view of the buffer that straddles two rows
+    shifted = new_state(15, params)
+    shifted.h2 = shifted.h1.base.reshape(-1)[-23:-8]
+    assert not layout(shifted)
 
 
 def test_cached_step_constants_are_read_only(params):
-    # every kernel for the same params and dt shares these arrays
+    # every kernel for the same params and dt (and size) shares these arrays
     _, consts, channels = neuron._step_constants(params, 0.1)
-    for a in consts + channels + neuron._pair_coefficients(params, 0.1, 15):
+    coefficients = neuron._buffer_coefficients(params, 0.1, 15)
+    assert neuron._buffer_coefficients(params, 0.1, 15) is coefficients
+    assert [a.size for a in coefficients] == [2 * 15, 4 * 15, 2 * 15, 7 * 15]
+    for a in consts + channels + coefficients:
         assert not a.flags.writeable
 
 
