@@ -8,7 +8,7 @@ deterministic two-phase training protocol with binary checkpoints.
 
 __version__ = "0.1.0"
 
-from .encoding import EncodingConfig, calibrate_ik, encode_image, pixel_to_current
+from .encoding import EncodingConfig, calibrate_ik, encode_image
 from .errors import DataFormatError, NumericError, UsageError
 from .neuron import (NeuronParams, NeuronState, deliver_spike, new_state,
                      step_neuron, threshold_at)
@@ -17,7 +17,7 @@ from .plasticity import (ResumeParams, StdpParams, SynapsePopulation,
                          stdp_on_post, stdp_on_pre)
 from .records import SpikeRecord
 from .topology import (Layer, NetworkConfig, NetworkTopology, build_network,
-                       connect, teacher_train)
+                       teacher_train)
 from .dataio import (Checkpoint, Dataset, ImageSample, load_checkpoint,
                      load_cifar10, make_synthetic, save_checkpoint)
 from .training import (ClassificationResult, EvaluationReport, SearchResult,
@@ -32,8 +32,8 @@ __all__ = [
     "StdpParams", "ResumeParams", "SynapsePopulation", "stdp_on_pre",
     "stdp_on_post", "decay_traces", "resume_window", "resume_update", "freeze",
     "SpikeRecord",
-    "EncodingConfig", "pixel_to_current", "encode_image", "calibrate_ik",
-    "Layer", "NetworkConfig", "NetworkTopology", "build_network", "connect",
+    "EncodingConfig", "encode_image", "calibrate_ik",
+    "Layer", "NetworkConfig", "NetworkTopology", "build_network",
     "teacher_train",
     "Dataset", "ImageSample", "load_cifar10", "make_synthetic",
     "Checkpoint", "save_checkpoint", "load_checkpoint",

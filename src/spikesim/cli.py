@@ -238,6 +238,8 @@ def cmd_search_weights(args) -> int:
     cfg, net_cfg, sim, params = load_run_config(args.config)
     enc = _encoding_config(cfg)
     dataset = resolve_dataset(cfg, net_cfg, "train", args.data)
+    if args.subset > len(dataset):
+        raise UsageError(f"--subset {args.subset} exceeds the {len(dataset)} training images")
     subset_n = args.subset if args.subset else min(500, len(dataset))
     subset = Dataset(samples=dataset.samples[:subset_n], n_classes=dataset.n_classes,
                      class_names=dataset.class_names)

@@ -52,6 +52,8 @@ class ImageSample:
         px = self.pixels
         if px.ndim != 2:
             raise ValueError(f"{self.source_id}: pixels must be 2-D")
+        if px.size == 0:
+            raise ValueError(f"{self.source_id}: pixels must be non-empty")
         # a NaN or an infinity makes min or max non-finite, which fails the test
         if not (0.0 <= px.min() and px.max() <= 1.0):
             raise ValueError(f"{self.source_id}: pixel values outside [0, 1]")

@@ -48,13 +48,6 @@ class EncodingConfig:
             raise ValueError(f"target must be >= 1, got {self.target}")
 
 
-def pixel_to_current(p: float, enc: EncodingConfig) -> float:
-    """Injection current (pA) for normalized pixel intensity p in [0, 1]."""
-    if not (np.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"pixel intensity must be in [0, 1], got {p}")
-    return p * enc.I_K
-
-
 def encode_image(pixels: np.ndarray, enc: EncodingConfig) -> np.ndarray:
     """Per-neuron currents for an image, flattened row-major."""
     px = np.asarray(pixels, dtype=np.float64)

@@ -161,10 +161,10 @@ class NetworkConfig:
 # -- connection rules -------------------------------------------------------
 
 # every wiring rule: its (pre, post) connection mask from pre ids as a column,
-# post ids as a row and the config. The readout's two, after `connect`'s three,
-# read the config: "partitionable" gives each readout neuron only its own
-# feature partition under feat_readout_partitioned, else all of them, and
-# "cross_class" pairs readout neurons of different classes.
+# post ids as a row and the config. The first three read only the ids. The
+# readout's two read the config: "partitionable" gives each readout neuron only
+# its own feature partition under feat_readout_partitioned, else all of them,
+# and "cross_class" pairs readout neurons of different classes.
 _MASKS = {
     "all_to_all": lambda pre, post, cfg: True,
     "one_to_one": lambda pre, post, cfg: pre == post,
@@ -174,21 +174,6 @@ _MASKS = {
     "cross_class": lambda pre, post, cfg: (pre // cfg.neurons_per_class
                                            != post // cfg.neurons_per_class),
 }
-_CONNECT_RULES = ("all_to_all", "one_to_one", "one_to_all_except_partner")
-
-
-def connect(rule: str, n_pre: int, n_post: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generate (pre_index, post_index) arrays for a wiring rule.
-
-    Rules: "all_to_all", "one_to_one" (requires n_pre == n_post), and
-    "one_to_all_except_partner" (pre i to every post except post i; requires
-    n_pre == n_post). Order is pre-major and deterministic.
-    """
-    if n_pre < 1 or n_post < 1:
-        raise ValueError("populations must be non-empty")
-    if rule not in _CONNECT_RULES:
-        raise ValueError(f"unknown wiring rule {rule!r}")
-    return np.nonzero(_wire(rule, n_pre, n_post))
 
 
 def _wire(rule: str, n_pre: int, n_post: int,

@@ -345,6 +345,19 @@ def test_negative_subset_is_usage_error(tmp_path, cfg_path, capsys):
     assert "--subset" in capsys.readouterr().err
 
 
+def test_subset_beyond_the_training_set_is_usage_error(tmp_path, cfg_path, capsys):
+    # scoring fewer images than asked for would change the search unseen
+    cfg, net_cfg, _, _ = load_run_config(cfg_path)
+    n = len(resolve_dataset(cfg, net_cfg, "train", None))
+    ckpt = untrained_phase1_checkpoint(cfg_path, tmp_path / "p1.bin")
+    assert main(["search-weights", "--config", cfg_path, "--from-checkpoint",
+                 ckpt, "--out", str(tmp_path / "o"), "--trials", "1",
+                 "--subset", str(n + 1)]) == 1
+    err = capsys.readouterr().err
+    assert f"--subset {n + 1} exceeds the {n} training images" in err
+    assert not (tmp_path / "o" / "weight_search.tsv").exists()
+
+
 def test_negative_limits_are_data_errors(tmp_path, capsys):
     cfg, ckpt = cifar_cfg(tmp_path, limit_train=-3, limit_test=-1)
     assert main(["train", "--phase", "1", "--config", cfg,

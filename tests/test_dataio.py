@@ -104,6 +104,10 @@ def test_image_sample_validation():
     ImageSample(pixels=np.array([[0.0, 1.0]]), label=0, source_id="x")
     with pytest.raises(ValueError):
         ImageSample(pixels=np.ones(4), label=0, source_id="x")
+    # refused by name, not by numpy's "zero-size array to reduction operation"
+    for shape in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="^x: pixels must be non-empty$"):
+            ImageSample(pixels=np.zeros(shape), label=0, source_id="x")
     with pytest.raises(ValueError):
         ImageSample(pixels=np.ones((2, 2)), label=-1, source_id="x")
 

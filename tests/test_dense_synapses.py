@@ -15,7 +15,7 @@ import pytest
 from spikesim import SpikeRecord, SynapsePopulation
 from spikesim.plasticity import (ResumeParams, StdpParams, resume_update,
                                  stdp_on_post, stdp_on_pre)
-from spikesim.topology import NetworkConfig, _wire, connect
+from spikesim.topology import NetworkConfig, _wire
 
 from conftest import population
 
@@ -105,10 +105,10 @@ def ref_resume(pop, w, teacher, actual, pre):
 def wiring(rule, rng):
     if rule == "all_to_all":
         n_pre, n_post = rng.integers(1, 30, size=2)
-        return (*connect("all_to_all", n_pre, n_post), n_pre, n_post)
+        return (*np.nonzero(_wire("all_to_all", n_pre, n_post)), n_pre, n_post)
     if rule in ("one_to_one", "one_to_all_except_partner"):
         n = int(rng.integers(2, 30))
-        return (*connect(rule, n, n), n, n)
+        return (*np.nonzero(_wire(rule, n, n)), n, n)
     if rule == "cross_class":
         n_classes, per_class = int(rng.integers(2, 5)), int(rng.integers(1, 5))
         n = n_classes * per_class
@@ -164,7 +164,7 @@ def test_delivery_equals_connection_bincount(rule, sign, w_min):
 def test_delivery_onto_a_single_post_neuron_keeps_the_order():
     # a lone column is where a plain numpy sum would switch to pairwise order
     rng = np.random.default_rng(4)
-    pre, post = connect("all_to_all", 300, 1)
+    pre, post = np.nonzero(_wire("all_to_all", 300, 1))
     w = rng.uniform(0.0, 1200.0, size=300) * 10.0 ** rng.uniform(-6, 0, size=300)
     pop = population(name="lone", pre_index=pre, post_index=post, weight=w,
                      sign="excitatory", n_pre=300, n_post=1)
@@ -290,7 +290,7 @@ def test_resume_identical_trains_leave_weights_exactly(rule):
 
 
 def test_weight_reads_are_read_only_and_assignment_writes_through():
-    pre, post = connect("one_to_all_except_partner", 4, 4)
+    pre, post = np.nonzero(_wire("one_to_all_except_partner", 4, 4))
     pop = population(name="p", pre_index=pre, post_index=post,
                      weight=np.full(pre.size, -50.0), sign="inhibitory",
                      n_pre=4, n_post=4)

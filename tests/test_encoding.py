@@ -5,9 +5,9 @@ bisection over single-neuron runs."""
 import numpy as np
 import pytest
 
-from spikesim import EncodingConfig, NeuronParams
+from spikesim import NeuronParams
 from spikesim.encoding import (GRID, _spike_counts, calibrate_ik, encode_image,
-                               pixel_to_current, spikes_under_constant_current)
+                               spikes_under_constant_current)
 from spikesim.errors import NumericError
 
 from conftest import I_K_DEFAULT
@@ -59,17 +59,12 @@ def test_steady_tail_regular_spacing(params):
     assert np.ptp(tail) <= 0.1 + 1e-12
 
 
-def test_pixel_to_current_linear():
-    enc = EncodingConfig(I_K=I_K_DEFAULT, target=10)
-    assert pixel_to_current(0.0, enc) == 0.0
-    assert pixel_to_current(1.0, enc) == I_K_DEFAULT
-    assert pixel_to_current(0.5, enc) == pytest.approx(0.5 * I_K_DEFAULT)
-
-
 def test_encode_image_row_major(enc):
     img = np.array([[0.0, 0.25], [0.5, 1.0]])
     drive = encode_image(img, enc)
     assert np.allclose(drive, np.array([0.0, 0.25, 0.5, 1.0]) * I_K_DEFAULT)
+    # the endpoints are exact: a dark pixel injects nothing, a full one I_K
+    assert drive[0] == 0.0 and drive[-1] == I_K_DEFAULT
 
 
 def test_encode_image_rejects_out_of_range(enc):

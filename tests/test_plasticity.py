@@ -8,7 +8,7 @@ from spikesim import SpikeRecord
 from spikesim.plasticity import (TAU_TRACE, StdpParams, ResumeParams,
                                  decay_traces, freeze, resume_update,
                                  resume_window, stdp_on_pre, stdp_on_post)
-from spikesim.topology import connect
+from spikesim.topology import _wire
 
 from conftest import population
 
@@ -274,7 +274,7 @@ def test_stdp_ids_out_of_range_rejected():
 
 def test_stdp_trace_of_wrong_length_rejected():
     # a pre event reads one trace per post neuron, a post event one per pre
-    pre, post = connect("all_to_all", 2, 3)
+    pre, post = np.nonzero(_wire("all_to_all", 2, 3))
     pop = population(name="p", pre_index=pre, post_index=post,
                      weight=np.full(6, 600.0), sign="excitatory",
                      n_pre=2, n_post=3, plasticity=StdpParams())
@@ -290,7 +290,7 @@ def test_stdp_trace_of_wrong_length_rejected():
 
 
 def two_by_three():
-    pre, post = connect("all_to_all", 2, 3)
+    pre, post = np.nonzero(_wire("all_to_all", 2, 3))
     return population(name="p", pre_index=pre, post_index=post,
                       weight=np.full(6, 600.0), sign="excitatory",
                       n_pre=2, n_post=3, plasticity=StdpParams())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spikesim import NetworkConfig, NeuronParams, SynapsePopulation, build_network
-from spikesim.topology import PROJECTION_ORDER, connect, teacher_train
+from spikesim.topology import PROJECTION_ORDER, _wire, teacher_train
 
 
 def test_default_layer_sizes_and_projection_counts():
@@ -33,19 +33,23 @@ def test_projection_order_is_stable():
     assert [p.name for p in net.ordered_projections()] == list(PROJECTION_ORDER)
 
 
-def test_connect_rules():
-    pre, post = connect("all_to_all", 3, 2)
+def pairs(rule, n_pre, n_post, cfg=None):
+    """A rule's connections, in the pre-major order of its mask's True cells."""
+    return np.nonzero(_wire(rule, n_pre, n_post, cfg))
+
+
+def test_wire_rules():
+    pre, post = pairs("all_to_all", 3, 2)
     assert sorted(zip(pre.tolist(), post.tolist())) == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-    pre, post = connect("one_to_one", 4, 4)
+    pre, post = pairs("one_to_one", 4, 4)
     assert np.array_equal(pre, post) and pre.size == 4
-    pre, post = connect("one_to_all_except_partner", 3, 3)
-    pairs = set(zip(pre.tolist(), post.tolist()))
-    assert pairs == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
-    with pytest.raises(ValueError):
-        connect("one_to_one", 3, 4)
-    with pytest.raises(ValueError):
-        connect("nonsense", 2, 2)
+    pre, post = pairs("one_to_all_except_partner", 3, 3)
+    assert set(zip(pre.tolist(), post.tolist())) == {
+        (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
+    for rule in ("one_to_one", "one_to_all_except_partner"):
+        with pytest.raises(ValueError, match="needs equal sizes"):
+            _wire(rule, 3, 4)
 
 
 def reference_pairs(rule, n_pre, n_post, per_class=None):
@@ -73,23 +77,21 @@ def test_connection_order_is_the_reference_order():
     rng = np.random.default_rng(19)
     for _ in range(40):
         n_pre, n_post, n = (int(k) for k in rng.integers(1, 40, size=3))
-        assert same_order(connect("all_to_all", n_pre, n_post),
+        assert same_order(pairs("all_to_all", n_pre, n_post),
                           reference_pairs("all_to_all", n_pre, n_post))
         for rule in ("one_to_one", "one_to_all_except_partner"):
-            assert same_order(connect(rule, n, n), reference_pairs(rule, n, n))
-        # the readout's rules through build_network: |feature| = |readout| * part
+            assert same_order(pairs(rule, n, n), reference_pairs(rule, n, n))
+        # the readout's rules read the config: |feature| = |readout| * part
         n_classes, npc, part = (int(k) for k in rng.integers(1, 6, size=3))
         n_read = n_classes * npc
         for partitioned in (False, True):
-            net = build_network(NetworkConfig(
+            cfg = NetworkConfig(
                 rows=2, cols=2 * n_read * part, n_classes=n_classes, neurons_per_class=npc,
-                feat_readout_partitioned=partitioned))
-            lateral = net.projections["readout_lateral"]
-            assert same_order((lateral.pre_index, lateral.post_index),
+                feat_readout_partitioned=partitioned)
+            assert same_order(pairs("cross_class", n_read, n_read, cfg),
                               reference_pairs("cross_class", n_read, n_read, npc))
-            readout = net.projections["feat_readout"]
             rule = "partitioned" if partitioned else "all_to_all"
-            assert same_order((readout.pre_index, readout.post_index),
+            assert same_order(pairs("partitionable", n_read * part, n_read, cfg),
                               reference_pairs(rule, n_read * part, n_read))
 
 
