@@ -39,6 +39,13 @@ step costs numpy's per-call overhead, so fewer calls make a cheaper step; on
 larger populations the coefficient arrays' memory traffic costs more than the
 calls save, and the kernel steps each array with its own call. Every element
 gets the same float64 operations in the same order either way.
+
+Most steps of a nearly silent network find no neuron refractory. There the
+refractory countdown, its clamp at zero and the emission gate change nothing
+(0 - dt clamps back to +0.0, and every neuron may fire), so a kernel counts
+the steps since the last spike and leaves those three operations out once
+every refractory time is back at +0.0: a silent step of the toy's one-buffer
+populations makes 13 numpy calls instead of 16.
 """
 
 from __future__ import annotations
@@ -350,26 +357,38 @@ class StepKernel:
     the step's constants (cached per params and dt) and allocates the scratch
     the step needs. Each call advances every neuron by one step of `dt` ms,
     updating the state's arrays in place (they must not be replaced while the
-    kernel is in use), and returns the flat ids (into the raveled state) of
-    the neurons that spiked, ascending; `spiked` holds the same step's boolean
-    mask until the next call overwrites it.
+    kernel is in use, and only the kernel may write refractory_remaining), and
+    returns the flat ids (into the raveled state) of the neurons that spiked,
+    ascending; `spiked` holds the same step's boolean mask until the next call
+    overwrites it.
 
     Order within the step: exact update of membrane + synaptic channels,
     threshold decay, refractory countdown, then the spike test at the step end
     (refractory elapsed and V_m >= threshold). Threshold jumps and the
     refractory reload apply after the test, so a spike never suppresses itself.
     The membrane is not reset on spike. The current and every state array are
-    checked for finiteness once, here.
+    checked for finiteness once, here, and refractory_remaining for its range
+    [0, t_ref].
+
+    A step is "hot" while some refractory_remaining may not be +0.0: from the
+    first step when the state starts with any r other than +0.0, and for
+    ceil(t_ref / dt) + 1 steps after every step with a spike, the r = t_ref it
+    sets having counted down to 0 by then. When that count runs out, one
+    r.any() confirms that every r is 0, or the count starts again. A "cold"
+    step leaves out the refractory countdown, its clamp and the emission gate,
+    which there would map each r = +0.0 to max(0 - dt, 0) = +0.0 and let every
+    neuron fire; so it gives the same ids, `spiked` mask and state bits.
 
     The layout of the step: when the state has at most FUSE_MAX elements and
     its fields are the rows of one buffer, as new_state makes them, the kernel
     is `fused` and runs each group of rows that it updates alike as one numpy
     call against a coefficient array as long as the group (cached per params,
-    dt and size): [r, V] -= [dt, E_L]; the products [y2, y1] * [P32, P31] and
-    y1 * P21 of the start-of-step values; the rows V to h2 *= [P33, P11, P11,
-    decay_h1, decay_h2]; [V, y2] += [drive, y1 * P21]. A silent step makes 16
-    numpy calls. Otherwise the kernel steps each array with its own call
-    against 0-d constants, 29 calls. Both give every element the same float64
+    dt and size): [r, V] -= [dt, E_L] (V -= E_L on a cold step); the products
+    [y2, y1] * [P32, P31] and y1 * P21 of the start-of-step values; the rows
+    V to h2 *= [P33, P11, P11, decay_h1, decay_h2]; [V, y2] += [drive,
+    y1 * P21]. A silent step makes 16 numpy calls hot and 13 cold. Otherwise
+    the kernel steps each array with its own call against 0-d constants, 29
+    calls hot and 25 cold. Both give every element the same float64
     operations in the same order, the channel terms of the membrane summed as
     ((y1_ex * P31_ex + y2_ex * P32_ex) + y1_in * P31_in) + y2_in * P32_in,
     so they give the same ids and the same state bits.
@@ -377,12 +396,13 @@ class StepKernel:
     With `synapses=False` the kernel serves a population that receives no
     spikes (calibration's): the step leaves out the channel products, their
     terms in the membrane and the channel updates, 10 numpy calls for a silent
-    fused step (its one multiply keeps the zero channel rows zero), 13 for a
-    per-array one. Each channel is its own linear subsystem, so at zero it
-    stays zero and adds a zero to V_m, and the step gives the same ids and the
-    same state bits (a V_m of exactly -0.0 may keep a sign that the full step
-    would clear). The constructor refuses a state whose channels are not all
-    zero, since this kernel would never integrate them.
+    hot fused step (its one multiply keeps the zero channel rows zero) and 7
+    for a cold one, 13 and 9 per array. Each channel is its own linear
+    subsystem, so at zero it stays zero and adds a zero to V_m, and the step
+    gives the same ids and the same state bits (a V_m of exactly -0.0 may keep
+    a sign that the full step would clear). The constructor refuses a state
+    whose channels are not all zero, since this kernel would never integrate
+    them.
     """
 
     def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float,
@@ -398,12 +418,21 @@ class StepKernel:
             for name in _FIELDS:
                 if not np.isfinite(getattr(state, name)).all():
                     raise ValueError(f"non-finite neuron state in {name}")
+        r = state.refractory_remaining
+        if not ((r >= 0.0) & (r <= params.t_ref)).all():
+            raise ValueError(f"refractory_remaining outside [0, t_ref] = [0, {params.t_ref}]")
         if not synapses:
             for name in ("y1_ex", "y2_ex", "y1_in", "y2_in"):
                 if np.any(getattr(state, name)):
                     raise ValueError(f"{name} is not all zero, and a kernel without "
                                      "synapses never integrates it")
         self.state, self.synapses = state, synapses
+        # the hot steps left (see the class docstring): a spike's r = t_ref
+        # reaches 0 within ceil(t_ref / dt) steps, and one more step clears
+        # the dust that repeated subtraction can leave; an r of -0.0 counts
+        # as hot, since the countdown's clamp makes it +0.0
+        self._reload = math.ceil(params.t_ref / dt) + 1
+        self._hot = self._reload if r.any() or np.signbit(r).any() else 0
         self._drive = params.E_L + P.drive * I
         self._sum = np.empty(shape)
         self.spiked, self._ready = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
@@ -427,13 +456,16 @@ class StepKernel:
 
     def __call__(self) -> np.ndarray:
         E_L, P33, decay_h1, decay_h2, dt, zero, omega, eps, alpha1, alpha2, t_ref = self._consts
-        s, acc = self.state, self._sum
+        s, acc, hot = self.state, self._sum, self._hot
         V, h1, h2, r = s.V_m, s.h1, s.h2, s.refractory_remaining
 
         if self.fused:
             (rV, channels, y1, tail, Vy2, terms, y1P21, added, ex2, in2, ex1, in1,
              c_rV, c_channels, c_y1, c_tail) = self._groups
-            np.subtract(rV, c_rV, out=rV)
+            if hot:
+                np.subtract(rV, c_rV, out=rV)
+            else:
+                V -= E_L    # the V row of the same subtract
             if not self.synapses:
                 tail *= c_tail
                 V += self._drive
@@ -480,23 +512,34 @@ class StepKernel:
             # threshold decay
             h1 *= decay_h1
             h2 *= decay_h2
-            # refractory countdown
-            np.subtract(r, dt, out=r)
 
-        np.maximum(r, zero, out=r)
+        # refractory countdown, on a hot step only (the fused subtract has
+        # counted r down with V)
+        if hot:
+            if not self.fused:
+                np.subtract(r, dt, out=r)
+            np.maximum(r, zero, out=r)
 
-        # spike test against the threshold (omega + h1) + h2
+        # spike test against the threshold (omega + h1) + h2, gated by the
+        # refractory time on a hot step only
         np.add(h1, omega, out=acc)
         acc += h2
         np.greater_equal(V, acc, out=self.spiked)
-        np.less_equal(r, eps, out=self._ready)
-        self.spiked &= self._ready
+        if hot:
+            np.less_equal(r, eps, out=self._ready)
+            self.spiked &= self._ready
         spiked, h1, h2, r = self._flat
         ids = spiked.nonzero()[0]
         if ids.size:
             h1[ids] += alpha1
             h2[ids] += alpha2
             r[ids] = t_ref
+            self._hot = self._reload
+        elif hot > 1:
+            self._hot = hot - 1
+        elif hot:
+            # the count has run out: go cold once every r is 0
+            self._hot = self._reload if r.any() else 0
         return ids
 
 

@@ -244,7 +244,9 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: 
     step = StepKernel(state, params, I_ext.reshape(shape), dt)
     # one eligibility trace per neuron
     trace = np.zeros(n, dtype=np.float64)
-    trace_decay = math.exp(-dt / TAU_TRACE)
+    # a 0-d float64, as the kernel's constants are: numpy converts a Python
+    # float operand on every multiply (see neuron._step_constants)
+    trace_decay = np.array(math.exp(-dt / TAU_TRACE))
     # per sign: its pending drive, one row per image, and its channel's y1
     # and delivery factor (the drive delivered in the state's shape)
     drive = {sign: np.zeros((batch, n), dtype=np.float64) for sign in SIGNS}

@@ -472,6 +472,9 @@ def test_kernel_layout_follows_the_size_and_the_buffers(params):
         for other in STATE_ARRAYS:
             if other != name:
                 swapped = new_state(15, params)
+                # V_m at 0, a refractory time that the kernel accepts, as a
+                # swap may put it in refractory_remaining
+                swapped.V_m[...] = 0.0
                 a, b = getattr(swapped, name), getattr(swapped, other)
                 setattr(swapped, name, b)
                 setattr(swapped, other, a)
@@ -525,6 +528,66 @@ def test_kernel_without_synapses_is_bit_identical_to_the_full_kernel(params, sha
     assert (counts == 0).any() and ((counts > 0) & (counts < counts.max())).any()
 
 
+STARTS = ("rest", "random", "signed_zero", "at_t_ref")
+
+
+def refractory_start(rng, shape, params, start, synapses):
+    """A start state: at rest; mid-simulation (random_state, or quiet_state
+    for a kernel without synapses); or mid-simulation with every refractory
+    time at +0.0 or -0.0, or at +0.0 or exactly t_ref."""
+    if start == "rest":
+        return new_state(shape, params)
+    state = (random_state if synapses else quiet_state)(rng, shape, params)
+    r = state.refractory_remaining
+    if start == "signed_zero":
+        r[...] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    elif start == "at_t_ref":
+        r[...] = np.where(rng.random(shape) < 0.3, params.t_ref, 0.0)
+    return state
+
+
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("dt", [0.1, 0.2, 0.3, 0.7, 0.013])
+@pytest.mark.parametrize("synapses", [True, False], ids=["synapses", "no_synapses"])
+@pytest.mark.parametrize("fused", [True, False], ids=["one_buffer", "per_array"])
+def test_cold_steps_are_bit_identical_to_the_reference_step(params, fused, synapses, dt, start):
+    # a kernel leaves out the refractory countdown and gate ("cold") only
+    # while every r is +0.0. Currents below the rheobase and a kick of V_m
+    # every 8 ms: each kick fires a burst whose second spike waits out the
+    # first's refractory time at threshold, then the population falls silent
+    rng = np.random.default_rng([STARTS.index(start), round(dt * 1000), int(synapses)])
+    shape = (3, 10)
+    state = refractory_start(rng, shape, params, start, synapses)
+    if not fused:
+        state = copy_state(state)
+    ref = copy_state(state)
+    I_ext = rng.uniform(0.0, 0.9, shape) * params.rheobase
+    step = StepKernel(state, params, I_ext, dt, synapses)
+    assert step.fused == fused
+    n_steps, every = round(60.0 / dt), round(8.0 / dt)
+    deliveries = random_deliveries(rng, shape, n_steps) if synapses else [None] * n_steps
+    n_cold = n_gated = 0
+    for k, weights in enumerate(deliveries):
+        if k % every == every // 2:
+            kick = rng.random(shape) < 0.2
+            state.V_m[kick] += 60.0
+            ref.V_m[kick] += 60.0
+        cold = step._hot == 0
+        blocked = np.maximum(ref.refractory_remaining - dt, 0.0) > REFRACTORY_EPS
+        _, mask = reference_step(ref, params, I_ext, dt)
+        ids = step()
+        assert np.array_equal(ids, np.flatnonzero(mask))
+        assert step.spiked.tobytes() == mask.tobytes()
+        for name in STATE_ARRAYS:
+            assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), (k, name)
+        n_cold += cold
+        # a blocked neuron did not fire, so its threshold is the tested one
+        n_gated += not cold and (blocked & (ref.V_m >= params.omega + ref.h1 + ref.h2)).any()
+        deliver(ref, weights, params)
+        deliver(state, weights, params)
+    assert n_cold > 0 and n_gated > 0
+
+
 @pytest.mark.parametrize("channel", ["y1_ex", "y2_ex", "y1_in", "y2_in"])
 def test_kernel_without_synapses_refuses_a_live_channel(params, channel):
     state = new_state((2, 3), params)
@@ -546,6 +609,20 @@ def test_kernel_refuses_a_non_finite_state_array(params, build, name, value):
     getattr(state, name)[1, 2] = value
     with pytest.raises(ValueError, match=rf"^non-finite neuron state in {name}$"):
         StepKernel(state, params, np.zeros(3), 0.1)
+
+
+@pytest.mark.parametrize("build", [new_state, lambda shape, p: copy_state(new_state(shape, p))],
+                         ids=["new_state", "hand-built"])
+def test_kernel_refuses_a_refractory_time_outside_its_range(params, build):
+    for value in (-1e-3, params.t_ref + 1e-3):
+        state = build((2, 3), params)
+        state.refractory_remaining[1, 2] = value
+        with pytest.raises(ValueError, match=r"^refractory_remaining outside \[0, t_ref\]"):
+            StepKernel(state, params, np.zeros(3), 0.1)
+    state = build((2, 3), params)
+    state.refractory_remaining[0] = -0.0
+    state.refractory_remaining[1] = params.t_ref
+    StepKernel(state, params, np.zeros(3), 0.1)
 
 
 def test_nonfinite_input_rejected(params):
