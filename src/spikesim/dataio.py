@@ -34,7 +34,6 @@ from .topology import PROJECTION_ORDER, NetworkTopology
 CIFAR_CLASSES = ("airplane", "automobile", "bird", "cat", "deer",
                  "dog", "frog", "horse", "ship", "truck")
 _RECORD_BYTES = 3073
-_PLANE = 1024
 
 CHECKPOINT_MAGIC = b"SPIKCKP\x01"
 CHECKPOINT_VERSION = 2

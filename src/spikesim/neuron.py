@@ -23,10 +23,10 @@ and a single neuron is simply a population of size one. Every operation is
 elementwise, so a state of shape (images, neurons) steps a batch of images
 at once, each row exactly as it would step alone. A simulation loop prepares
 one StepKernel and calls it once per step; step_neuron is a single call of
-one. A population that receives no synapses, as in calibration, steps with a
-kernel that leaves out the alpha channels, which stay exactly zero. Likewise
-a loop checks its weights once and delivers through the same unchecked
-arithmetic that deliver_spike runs after its per-call checks.
+one. A small population that receives no synapses, as in calibration, steps
+with a kernel that leaves out the alpha channels, which stay exactly zero.
+Likewise a loop checks its weights once and delivers through the same
+unchecked arithmetic that deliver_spike runs after its per-call checks.
 
 Exact integration makes the step a fixed linear map per element: once the
 channel products are taken from the start-of-step values, V, every channel
@@ -394,15 +394,15 @@ class StepKernel:
     so they give the same ids and the same state bits.
 
     With `synapses=False` the kernel serves a population that receives no
-    spikes (calibration's): the step leaves out the channel products, their
-    terms in the membrane and the channel updates, 10 numpy calls for a silent
-    hot fused step (its one multiply keeps the zero channel rows zero) and 7
-    for a cold one, 13 and 9 per array. Each channel is its own linear
-    subsystem, so at zero it stays zero and adds a zero to V_m, and the step
-    gives the same ids and the same state bits (a V_m of exactly -0.0 may keep
-    a sign that the full step would clear). The constructor refuses a state
-    whose channels are not all zero, since this kernel would never integrate
-    them.
+    spikes (calibration's): a fused step leaves out the channel products,
+    their terms in the membrane and the channel updates, 10 numpy calls for a
+    silent hot step (its one multiply keeps the zero channel rows zero) and 7
+    for a cold one; a per-array kernel takes the full step. Each channel is
+    its own linear subsystem, so at zero it stays zero and adds a zero to V_m,
+    and the step gives the same ids and the same state bits (a V_m of exactly
+    -0.0 may keep a sign that the full step would clear). The constructor
+    refuses a state whose channels are not all zero, since a fused kernel
+    would never integrate them.
     """
 
     def __init__(self, state: NeuronState, params: NeuronParams, I_ext, dt: float,
@@ -486,29 +486,28 @@ class StepKernel:
             V -= E_L
             V *= P33
             V += self._drive
-            if self.synapses:
-                P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i = self._channel_consts
-                y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
-                term = self._term
-                np.multiply(y1e, P31e, out=acc)
-                np.multiply(y2e, P32e, out=term)
-                acc += term
-                np.multiply(y1i, P31i, out=term)
-                acc += term
-                np.multiply(y2i, P32i, out=term)
-                acc += term
-                V += acc
+            P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i = self._channel_consts
+            y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
+            term = self._term
+            np.multiply(y1e, P31e, out=acc)
+            np.multiply(y2e, P32e, out=term)
+            acc += term
+            np.multiply(y1i, P31i, out=term)
+            acc += term
+            np.multiply(y2i, P32i, out=term)
+            acc += term
+            V += acc
 
-                # alpha channels (y2 before y1: P21 needs the start-of-step y1; the
-                # decay factor e^(-dt/tau_s) is shared by both stages)
-                y2e *= P11e
-                np.multiply(y1e, P21e, out=term)
-                y2e += term
-                y1e *= P11e
-                y2i *= P11i
-                np.multiply(y1i, P21i, out=term)
-                y2i += term
-                y1i *= P11i
+            # alpha channels (y2 before y1: P21 needs the start-of-step y1; the
+            # decay factor e^(-dt/tau_s) is shared by both stages)
+            y2e *= P11e
+            np.multiply(y1e, P21e, out=term)
+            y2e += term
+            y1e *= P11e
+            y2i *= P11i
+            np.multiply(y1i, P21i, out=term)
+            y2i += term
+            y1i *= P11i
             # threshold decay
             h1 *= decay_h1
             h2 *= decay_h2

@@ -198,30 +198,27 @@ class SynapsePopulation:
         """The post neuron of each connection, in connection order."""
         return np.flatnonzero(self.connected) % self.n_post
 
+    def _rank(self) -> np.ndarray:
+        """Each connection's position in connection order, at its mask cell
+        (-1 where there is no connection)."""
+        return np.cumsum(self.connected.ravel()).reshape(self.connected.shape) - 1
+
     def connections_by_pre(self, pre_ids: np.ndarray) -> np.ndarray:
         """Positions in connection order of the given pre neurons' connections,
         grouped by id in the order given, connection order within a group."""
-        return _grouped(self.pre_index, self.n_pre, pre_ids)
+        ids = np.asarray(pre_ids, dtype=np.int64)
+        return self._rank()[ids][self.connected[ids]]
 
     def connections_by_post(self, post_ids: np.ndarray) -> np.ndarray:
         """Positions in connection order of the given post neurons' connections."""
-        return _grouped(self.post_index, self.n_post, post_ids)
+        ids = np.asarray(post_ids, dtype=np.int64)
+        return self._rank()[:, ids].T[self.connected[:, ids].T]
 
     def copy(self) -> "SynapsePopulation":
         """An independent projection: its own W, the shared read-only mask."""
         new = copy.copy(self)
         new.W = self.W.copy()
         return new
-
-
-def _grouped(index: np.ndarray, n: int, ids) -> np.ndarray:
-    """Positions in `index` equal to each of `ids`, concatenated per id."""
-    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-    order = np.argsort(index, kind="stable")
-    starts = np.searchsorted(index[order], np.arange(n + 1))
-    lo, lens = starts[ids], starts[ids + 1] - starts[ids]
-    out_start = np.cumsum(lens) - lens      # where each id's group begins in the output
-    return order[np.arange(lens.sum()) + np.repeat(lo - out_start, lens)]
 
 
 # -- STDP -----------------------------------------------------------------

@@ -237,20 +237,17 @@ def _simulate(net: NetworkTopology, sim: SimulationConfig, span: slice, images: 
         except ValueError as err:
             raise ValueError(f"{pop.name}: {err}") from None
 
-    # a lone image steps as a 1-D population: numpy runs it with less
-    # overhead per call than a (1, n) batch
-    shape = (n,) if batch == 1 else (batch, n)
-    state = new_state(shape, params)
-    step = StepKernel(state, params, I_ext.reshape(shape), dt)
+    state = new_state((batch, n), params)
+    step = StepKernel(state, params, I_ext, dt)
     # one eligibility trace per neuron
     trace = np.zeros(n, dtype=np.float64)
     # a 0-d float64, as the kernel's constants are: numpy converts a Python
     # float operand on every multiply (see neuron._step_constants)
     trace_decay = np.array(math.exp(-dt / TAU_TRACE))
     # per sign: its pending drive, one row per image, and its channel's y1
-    # and delivery factor (the drive delivered in the state's shape)
+    # and delivery factor
     drive = {sign: np.zeros((batch, n), dtype=np.float64) for sign in SIGNS}
-    deliveries = [(pending.reshape(shape), *_channel(state, sign, params))
+    deliveries = [(pending, *_channel(state, sign, params))
                   for sign, pending in drive.items()]
     # in the flat (image, neuron) index of a step's ids, image b's layer j
     # starts at edges[b * m + j], and its last layer ends at edges[b * m + m - 1]

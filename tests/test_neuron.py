@@ -418,7 +418,8 @@ def signed_zero_state(rng, shape, params):
     return state
 
 
-@pytest.mark.parametrize("shape", [(15,), (111,), (5, 15), (6, 100), (1636,), (2, 1536)])
+@pytest.mark.parametrize("shape", [(15,), (111,), (1, 111), (5, 15), (6, 100), (1636,),
+                                   (1, 1636), (2, 1536)])
 def test_paired_and_unpaired_kernels_are_bit_identical(monkeypatch, params, shape):
     # the one-buffer ("fused") layout against the per-array one, with synapses
     # and, on a state with every channel at zero, without

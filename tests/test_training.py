@@ -571,7 +571,7 @@ def test_readout_starts_at_first_input_only_from_rest(monkeypatch, sim, enc, E_L
     for replay in replays:
         calls.clear()
         records.append(present_image(net, replay, sim, enc))
-        assert calls[0] == (net.readout_layer.size,)
+        assert calls[0] == (1, net.readout_layer.size)
     readout = records[-1].subset(net.readout_layer.start, net.readout_layer.stop)
     if E_L < params.omega:
         assert len(calls) == sim.n_steps - 100
