@@ -18,7 +18,7 @@ closed-form propagators (exact for piecewise-constant external current). No
 Euler error: for constant input the simulated membrane matches the analytic
 trajectory to rounding.
 
-State is vectorized: a NeuronState holds arrays over a homogeneous population,
+State is vectorized: a NeuronState holds rows over a homogeneous population,
 and a single neuron is simply a population of size one. Every operation is
 elementwise, so a state of shape (images, neurons) steps a batch of images
 at once, each row exactly as it would step alone. A simulation loop prepares
@@ -30,14 +30,14 @@ unchecked arithmetic that deliver_spike runs after its per-call checks.
 
 Exact integration makes the step a fixed linear map per element: once the
 channel products are taken from the start-of-step values, V, every channel
-stage and both threshold components update by one multiply each. So new_state
-keeps the whole state as the rows of one buffer, each group of rows that the
-step updates alike a contiguous run, and a kernel for a small population (at
-most FUSE_MAX elements) steps each group with one numpy call against a
+stage and both threshold components update by one multiply each. So a
+NeuronState is one buffer whose rows are its fields, each group of rows that
+the step updates alike a contiguous run, and a kernel for a small population
+(at most FUSE_MAX elements) steps each group with one numpy call against a
 coefficient array of the rows' constants side by side. At the toy's sizes a
 step costs numpy's per-call overhead, so fewer calls make a cheaper step; on
 larger populations the coefficient arrays' memory traffic costs more than the
-calls save, and the kernel steps each array with its own call. Every element
+calls save, and the kernel steps each row with its own call. Every element
 gets the same float64 operations in the same order either way.
 
 Most steps of a nearly silent network find no neuron refractory. There the
@@ -127,51 +127,65 @@ class NeuronParams:
         return (self.omega - self.E_L) / self.R
 
 
-@dataclass
-class NeuronState:
-    """Mutable state arrays for a population of `n` identical neurons.
-
-    y1_*/y2_* are the two state variables of each alpha-kernel channel; y2 is
-    the actual synaptic current (pA) entering the membrane equation.
-
-    When new_state makes the state, its fields are the rows of one (8,) + shape
-    buffer, in the order refractory_remaining, V_m, y2_ex, y2_in, y1_ex, y1_in,
-    h1, h2, so that a StepKernel can step each run of rows that it updates
-    alike with one call. Each field is still an array of the population's
-    shape; a state built from separate arrays, or with a field replaced or
-    swapped, steps the same, one array at a time.
-    """
-
-    V_m: np.ndarray                 # membrane potential (mV)
-    h1: np.ndarray                  # fast threshold component (mV)
-    h2: np.ndarray                  # slow threshold component (mV)
-    y1_ex: np.ndarray               # excitatory channel, impulse stage (pA/ms)
-    y2_ex: np.ndarray               # excitatory channel, current stage (pA)
-    y1_in: np.ndarray
-    y2_in: np.ndarray
-    refractory_remaining: np.ndarray    # ms left in refractory, in [0, t_ref]
-
-    @property
-    def n(self) -> int:
-        return self.V_m.shape[-1]
-
-
-_FIELDS = tuple(f.name for f in fields(NeuronState))
-# the rows of new_state's buffer: each group that a StepKernel updates with one
+# the rows of a state's buffer: each group that a StepKernel updates with one
 # call, [r, V], [y2, y1], y1, [V .. h2] and [V, y2], is a contiguous run
 _ROWS = ("refractory_remaining", "V_m", "y2_ex", "y2_in", "y1_ex", "y1_in", "h1", "h2")
 
 
+def _row(name: str, doc: str) -> property:
+    k = _ROWS.index(name)
+    return property(lambda self: self._buf[k], doc=doc)
+
+
+class NeuronState:
+    """Mutable state of a population of identical neurons: one float64 buffer
+    `buf` of shape (8,) + shape, for a population of shape (neurons,) or
+    (images, neurons), whose rows are the fields below in _ROWS order, so that
+    a StepKernel steps each run of rows that it updates alike with one call.
+    A field is the read-only view of its row; write into it in place.
+    y1_*/y2_* are the two state variables of each alpha-kernel channel; y2 is
+    the actual synaptic current (pA) entering the membrane equation.
+
+    The constructor copies the eight fields, which must share one shape of at
+    least one dimension and one neuron, into a new float64 buffer, whatever
+    their dtype; new_state makes a state at rest.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self, V_m, h1, h2, y1_ex, y2_ex, y1_in, y2_in, refractory_remaining) -> None:
+        given = {"V_m": V_m, "h1": h1, "h2": h2, "y1_ex": y1_ex, "y2_ex": y2_ex,
+                 "y1_in": y1_in, "y2_in": y2_in, "refractory_remaining": refractory_remaining}
+        shape = np.shape(V_m)
+        if not shape or 0 in shape:
+            raise ValueError(f"V_m has shape {shape}: a state needs at least one "
+                             "dimension and one neuron")
+        for name, value in given.items():
+            if np.shape(value) != shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, not V_m's {shape}")
+        self._buf = np.array([given[name] for name in _ROWS], dtype=np.float64)
+
+    buf = property(lambda self: self._buf, doc="the (8,) + shape state buffer")
+    V_m = _row("V_m", "membrane potential (mV)")
+    h1 = _row("h1", "fast threshold component (mV)")
+    h2 = _row("h2", "slow threshold component (mV)")
+    y1_ex = _row("y1_ex", "excitatory channel, impulse stage (pA/ms)")
+    y2_ex = _row("y2_ex", "excitatory channel, current stage (pA)")
+    y1_in = _row("y1_in", "inhibitory channel, impulse stage (pA/ms)")
+    y2_in = _row("y2_in", "inhibitory channel, current stage (pA)")
+    refractory_remaining = _row("refractory_remaining", "ms left in refractory, in [0, t_ref]")
+
+
 def new_state(n: int | tuple[int, int], params: NeuronParams) -> NeuronState:
     """Allocate a fresh population of `n` neurons at rest; `n` may also be a
-    shape (images, neurons), one row of state per image of a batch. The
-    fields are the rows of one buffer (see NeuronState)."""
+    shape (images, neurons), one row of state per image of a batch."""
     shape = (n,) if np.ndim(n) == 0 else tuple(n)
     if min(shape) < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
-    buf = np.zeros((len(_ROWS),) + shape, dtype=np.float64)
-    buf[_ROWS.index("V_m")] = params.E_L
-    return NeuronState(**dict(zip(_ROWS, buf)))
+    state = NeuronState.__new__(NeuronState)
+    state._buf = np.zeros((len(_ROWS),) + shape, dtype=np.float64)
+    state.V_m[...] = params.E_L
+    return state
 
 
 @dataclass(frozen=True)
@@ -332,41 +346,24 @@ def deliver_spike(state: NeuronState, weight, sign: str,
     return state
 
 
-def _state_buffer(state: NeuronState) -> np.ndarray | None:
-    """The state's buffer, flat, when its fields are the rows of one
-    C-contiguous (8,) + shape float64 array in _ROWS order, as new_state
-    makes them; otherwise None."""
-    buf, shape = state.V_m.base, state.V_m.shape
-    if (not isinstance(buf, np.ndarray) or buf.shape != (len(_ROWS),) + shape
-            or buf.dtype != np.float64 or not buf.flags.c_contiguous):
-        return None
-    start, row, strides = buf.ctypes.data, buf.strides[0], buf.strides[1:]
-    for k, name in enumerate(_ROWS):
-        a = getattr(state, name)
-        if (a.base is not buf or a.shape != shape or a.strides != strides
-                or a.ctypes.data != start + k * row):
-            return None
-    return buf.reshape(-1)
-
-
 class StepKernel:
     """The neuron step of one simulation loop, prepared once.
 
     Built for one `state`, `params`, `dt` and a fixed external current
-    `I_ext`: it computes the constant drive E_L + drive * I_ext once, fetches
-    the step's constants (cached per params and dt) and allocates the scratch
-    the step needs. Each call advances every neuron by one step of `dt` ms,
-    updating the state's arrays in place (they must not be replaced while the
-    kernel is in use, and only the kernel may write refractory_remaining), and
-    returns the flat ids (into the raveled state) of the neurons that spiked,
-    ascending; `spiked` holds the same step's boolean mask until the next call
-    overwrites it.
+    `I_ext` that broadcasts to the state's shape: it computes the constant
+    drive E_L + drive * I_ext once, fetches the step's constants (cached per
+    params and dt), takes the state's rows and allocates the scratch the
+    step needs. Each call advances every neuron by one step of `dt` ms,
+    updating the state's buffer in place (only the kernel may write
+    refractory_remaining while it is in use), and returns the flat ids (into
+    the raveled state) of the neurons that spiked, ascending; `spiked` holds
+    the same step's boolean mask until the next call overwrites it.
 
     Order within the step: exact update of membrane + synaptic channels,
     threshold decay, refractory countdown, then the spike test at the step end
     (refractory elapsed and V_m >= threshold). Threshold jumps and the
     refractory reload apply after the test, so a spike never suppresses itself.
-    The membrane is not reset on spike. The current and every state array are
+    The membrane is not reset on spike. The current and every state row are
     checked for finiteness once, here, and refractory_remaining for its range
     [0, t_ref].
 
@@ -379,17 +376,17 @@ class StepKernel:
     which there would map each r = +0.0 to max(0 - dt, 0) = +0.0 and let every
     neuron fire; so it gives the same ids, `spiked` mask and state bits.
 
-    The layout of the step: when the state has at most FUSE_MAX elements and
-    its fields are the rows of one buffer, as new_state makes them, the kernel
-    is `fused` and runs each group of rows that it updates alike as one numpy
-    call against a coefficient array as long as the group (cached per params,
-    dt and size): [r, V] -= [dt, E_L] (V -= E_L on a cold step); the products
-    [y2, y1] * [P32, P31] and y1 * P21 of the start-of-step values; the rows
-    V to h2 *= [P33, P11, P11, decay_h1, decay_h2]; [V, y2] += [drive,
-    y1 * P21]. A silent step makes 16 numpy calls hot and 13 cold. Otherwise
-    the kernel steps each array with its own call against 0-d constants, 29
-    calls hot and 25 cold. Both give every element the same float64
-    operations in the same order, the channel terms of the membrane summed as
+    The layout of the step follows the population's size alone. With at most
+    FUSE_MAX elements, batch included, the kernel is `fused` and runs each
+    group of rows that it updates alike as one numpy call against a
+    coefficient array as long as the group (cached per params, dt and size):
+    [r, V] -= [dt, E_L] (V -= E_L on a cold step); the products [y2, y1] *
+    [P32, P31] and y1 * P21 of the start-of-step values; the rows V to h2 *=
+    [P33, P11, P11, decay_h1, decay_h2]; [V, y2] += [drive, y1 * P21]. A
+    silent step makes 16 numpy calls hot and 13 cold. Otherwise the kernel
+    steps each row with its own call against 0-d constants, 29 calls hot and
+    25 cold. Both give every element the same float64 operations in the same
+    order, the channel terms of the membrane summed as
     ((y1_ex * P31_ex + y2_ex * P32_ex) + y1_in * P31_in) + y2_in * P32_in,
     so they give the same ids and the same state bits.
 
@@ -409,21 +406,25 @@ class StepKernel:
                  synapses: bool = True) -> None:
         P, self._consts, self._channel_consts = _step_constants(params, dt)
         I = np.asarray(I_ext, dtype=np.float64)
+        buf = state.buf
+        shape, n = buf.shape[1:], buf[0].size
+        if I.ndim > len(shape) or any(a not in (1, b) for a, b in zip(I.shape[::-1], shape[::-1])):
+            raise ValueError(f"external current of shape {I.shape} does not broadcast "
+                             f"to the state's shape {shape}")
         if not np.isfinite(I).all():
             raise ValueError("non-finite external current")
-        shape, n = state.V_m.shape, state.V_m.size
-        buf = _state_buffer(state) if n <= FUSE_MAX else None
-        # one check over a buffer, and a second pass to name a bad field
-        if buf is None or not np.isfinite(buf).all():
-            for name in _FIELDS:
-                if not np.isfinite(getattr(state, name)).all():
+        self.fused = n <= FUSE_MAX
+        # row by row on a large state, where a whole-buffer pass makes an 8n temporary
+        if not (self.fused and np.isfinite(buf).all()):
+            for name, row in zip(_ROWS, buf):
+                if not np.isfinite(row).all():
                     raise ValueError(f"non-finite neuron state in {name}")
-        r = state.refractory_remaining
+        self._rows = r, V, y2e, y2i, y1e, y1i, h1, h2 = tuple(buf)
         if not ((r >= 0.0) & (r <= params.t_ref)).all():
             raise ValueError(f"refractory_remaining outside [0, t_ref] = [0, {params.t_ref}]")
         if not synapses:
-            for name in ("y1_ex", "y2_ex", "y1_in", "y2_in"):
-                if np.any(getattr(state, name)):
+            for name, row in zip(_ROWS[2:6], buf[2:6]):    # the channel rows
+                if np.any(row):
                     raise ValueError(f"{name} is not all zero, and a kernel without "
                                      "synapses never integrates it")
         self.state, self.synapses = state, synapses
@@ -437,18 +438,15 @@ class StepKernel:
         self._sum = np.empty(shape)
         self.spiked, self._ready = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         # flat views, for the updates by id
-        flat = (self.spiked, state.h1, state.h2, state.refractory_remaining)
-        self._flat = tuple(a.reshape(-1) for a in flat)
-        if not all(map(np.may_share_memory, self._flat, flat)):
-            raise ValueError("neuron state arrays must have a flat view (e.g. C-contiguous)")
-        self.fused = buf is not None
+        self._flat = tuple(a.reshape(-1) for a in (self.spiked, h1, h2, r))
         if self.fused:
             # buf's rows r, V, y2 (2), y1 (2), h (2) are runs of n; scratch for
             # the products [ex2, in2, ex1, in1], and the drive beside y1 * P21
+            flat = buf.reshape(-1)
             terms, added = np.empty((4,) + shape), np.empty((3,) + shape)
             added[0] = self._drive
-            self._groups = (buf[:2 * n], buf[2 * n:6 * n], buf[4 * n:6 * n], buf[n:],
-                            buf[n:4 * n], terms.reshape(-1), added[1:].reshape(-1),
+            self._groups = (flat[:2 * n], flat[2 * n:6 * n], flat[4 * n:6 * n], flat[n:],
+                            flat[n:4 * n], terms.reshape(-1), added[1:].reshape(-1),
                             added.reshape(-1), *terms,
                             *_buffer_coefficients(params, dt, n))
         else:
@@ -456,8 +454,8 @@ class StepKernel:
 
     def __call__(self) -> np.ndarray:
         E_L, P33, decay_h1, decay_h2, dt, zero, omega, eps, alpha1, alpha2, t_ref = self._consts
-        s, acc, hot = self.state, self._sum, self._hot
-        V, h1, h2, r = s.V_m, s.h1, s.h2, s.refractory_remaining
+        r, V, y2e, y2i, y1e, y1i, h1, h2 = self._rows
+        acc, hot = self._sum, self._hot
 
         if self.fused:
             (rV, channels, y1, tail, Vy2, terms, y1P21, added, ex2, in2, ex1, in1,
@@ -487,7 +485,6 @@ class StepKernel:
             V *= P33
             V += self._drive
             P31e, P32e, P31i, P32i, P11e, P21e, P11i, P21i = self._channel_consts
-            y1e, y2e, y1i, y2i = s.y1_ex, s.y2_ex, s.y1_in, s.y2_in
             term = self._term
             np.multiply(y1e, P31e, out=acc)
             np.multiply(y2e, P32e, out=term)
